@@ -46,12 +46,8 @@ from repro.sim.machine import (
     leap_config,
 )
 from repro.sim.process import PageAccess
-from repro.sim.run import RunResult, run_processes, warmup_process
-from repro.sim.scheduler import (
-    ConcurrentRunResult,
-    ConcurrentScheduler,
-    simulate_concurrent,
-)
+from repro.sim.run import RunResult, warmup_process
+from repro.sim.scheduler import ConcurrentScheduler, run_processes, simulate_concurrent
 from repro.sim.simulate import simulate
 from repro.workloads.base import Workload
 from repro.workloads.memcached import MemcachedWorkload
@@ -71,7 +67,6 @@ __all__ = [
     "AccessHistory",
     "AccessKind",
     "AccessOutcome",
-    "ConcurrentRunResult",
     "ConcurrentScheduler",
     "FailureEvent",
     "IsolatedLeapTracker",

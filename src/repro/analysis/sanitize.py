@@ -26,7 +26,6 @@ vectorized driver) pass through via ``begin_batch``:
 Every check is **read-only**: the sanitizer observes, never perturbs,
 so a sanitized run's simulated metrics are byte-identical to the plain
 run (asserted by ``tests/test_sanitize.py``).  Enable it with
-``MachineConfig(engine="sanitize")`` (object driver + checks) or
 ``REPRO_SANITIZE=1`` in the environment (checks on top of whichever
 engine is configured).  ``REPRO_SANITIZE_EVERY=N`` checks every Nth
 batch (default 1) for long smokes where O(resident) per batch is too
@@ -59,7 +58,7 @@ _OFF = ("", "0", "false", "no")
 
 
 def sanitize_enabled() -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for checks on top of any engine."""
+    """Whether ``REPRO_SANITIZE`` asks for checks on top of either engine."""
     return os.environ.get("REPRO_SANITIZE", "").lower() not in _OFF
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bench.prefetch import application_workloads
-from repro.bench.runner import BenchScale, run_single, run_single_concurrent
+from repro.bench.runner import BenchScale, run_single
 from repro.metrics.latency import summarize
 from repro.perf.artifacts import ARTIFACT_SCHEMA_VERSION, write_artifact
 from repro.perf.profile import profile_concurrent
@@ -162,7 +162,7 @@ def fig12_cache_limits(
     prefetched pages are consumed and eagerly freed quickly, even a
     cache of tens of pages costs only ~12% performance.
 
-    Runs on the concurrent engine (one core per single-app run); with
+    Each single-app run has a core to itself; with
     *perf_dir* (or ``$REPRO_PERF_DIR``) set, each run's per-app latency
     percentiles land in a ``BENCH_fig12.json`` artifact.
     """
@@ -174,7 +174,7 @@ def fig12_cache_limits(
         for limit in cache_limits:
             config = leap_config(seed=scale.seed, cache_capacity_pages=limit)
             workload = application_workloads(scale)[app_name]
-            result = run_single_concurrent(config, workload, memory_fraction=0.5)
+            result = run_single(config, workload, memory_fraction=0.5)
             throughput = None
             if app_name in THROUGHPUT_APPS:
                 throughput = (

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.run import RunResult
-from repro.sim.scheduler import ConcurrentRunResult
 from repro.sim.simulate import simulate
 from repro.workloads.base import Workload
 
 __all__ = [
     "BenchScale",
     "run_single",
-    "run_single_concurrent",
     "latency_improvement",
 ]
 
@@ -51,24 +49,6 @@ def run_single(
     """Build a machine, run one workload, return the result."""
     machine = Machine(config)
     return simulate(machine, {pid: workload}, memory_fraction=memory_fraction)
-
-
-def run_single_concurrent(
-    config: MachineConfig,
-    workload: Workload,
-    memory_fraction: float,
-    pid: int = 1,
-) -> ConcurrentRunResult:
-    """Like :func:`run_single`, but through the concurrent engine.
-
-    One process on one core — no contention, but the run goes through
-    the same scheduler code path as the multi-tenant experiments and
-    produces per-process latency samples for perf artifacts.
-    """
-    machine = Machine(config)
-    return machine.run_concurrent(
-        {pid: workload}, cores=1, memory_fraction=memory_fraction
-    )
 
 
 def latency_improvement(

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.metrics.report import format_table
 from repro.provenance import canonical_json
+from repro.sim.machine import ENGINES
 
 __all__ = ["add_parsers"]
 
@@ -52,7 +53,7 @@ def add_parsers(sub) -> None:
     )
     record.add_argument(
         "--engine",
-        choices=["object", "vectorized"],
+        choices=ENGINES,
         default=None,
         help="fig13 burst engine (default: object for smoke, vectorized "
         "for scale); traces and payloads are identical either way",

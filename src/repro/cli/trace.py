@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from repro.cli.common import WORKLOADS
+from repro.sim.machine import ENGINES
 
 __all__ = ["add_parsers"]
 
@@ -55,7 +56,7 @@ def add_parsers(sub) -> None:
         "replay", help="replay a trace file through the Leap machine"
     )
     replay.add_argument("path", metavar="TRACE")
-    replay.add_argument("--engine", choices=("object", "vectorized"),
+    replay.add_argument("--engine", choices=ENGINES,
                         default="vectorized")
     replay.add_argument("--memory", type=float, default=0.5,
                         help="local memory as a fraction of the working set")

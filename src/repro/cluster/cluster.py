@@ -8,7 +8,7 @@ the re-fetch source when a crash destroys both in-memory copies of a
 slab.
 
 Failure injection is expressed as :class:`FailureEvent` timelines fed
-to :func:`repro.sim.scheduler.simulate_cluster`: at the event's
+to :meth:`repro.sim.machine.Machine.run_cluster`: at the event's
 simulated time the server dies (its contents vanish) and the host
 agent immediately remaps every slab that lost a copy.
 """

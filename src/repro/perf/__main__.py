@@ -36,6 +36,7 @@ from repro.perf.profile import (
     scenarios_profile,
     trace_profile,
 )
+from repro.sim.machine import ENGINES
 
 PROFILES = ("fig13", "cluster", "scenarios", "control", "trace")
 TIERS = ("smoke", "scale")
@@ -71,7 +72,7 @@ def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["object", "vectorized"],
+        choices=ENGINES,
         default=None,
         help="burst engine for the fig13 and trace profiles (default: "
         "the profile's own default — object for fig13 smoke, "

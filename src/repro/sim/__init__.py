@@ -1,8 +1,9 @@
 """Simulation engine: clock, RNG, units, machine assembly, run loop.
 
 Only the dependency-free primitives are re-exported here; the machine
-factory and drivers live in :mod:`repro.sim.machine`,
-:mod:`repro.sim.run`, and :mod:`repro.sim.simulate` (imported lazily to
+factory, the event loop and the entry points live in
+:mod:`repro.sim.machine`, :mod:`repro.sim.run`,
+:mod:`repro.sim.scheduler` and :mod:`repro.sim.simulate` (imported lazily to
 keep ``repro.sim`` free of cycles — every substrate imports
 ``repro.sim.units``).
 """

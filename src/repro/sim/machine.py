@@ -34,6 +34,7 @@ from repro.mem.reclaim import KswapdReclaimer
 from repro.mem.vmm import ProcessMemory, VirtualMemoryManager
 from repro.metrics.counters import PrefetchMetrics
 from repro.metrics.latency import LatencyRecorder
+from repro.obs.names import CLUSTER_FAIL, CLUSTER_RECOVER, TRACK_MACHINE
 from repro.obs.trace import TraceCollector
 from repro.prefetchers.base import NoopPrefetcher, Prefetcher
 from repro.prefetchers.ghb import GHBPrefetcher
@@ -60,7 +61,7 @@ DATA_PATHS = ("legacy", "lean")
 MEDIA = ("remote", "cluster", "hdd", "ssd")
 PREFETCHERS = ("readahead", "stride", "next-n-line", "ghb", "leap", "none")
 EVICTIONS = ("lazy", "eager")
-ENGINES = ("object", "vectorized", "sanitize")
+ENGINES = ("object", "vectorized")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,11 +73,9 @@ class MachineConfig:
     #: time through the staged pipeline; ``vectorized`` (requires
     #: numpy) feeds drivers columnar access blocks and classifies whole
     #: resident runs as array operations (:mod:`repro.kernel`).  Both
-    #: produce bit-identical simulated metrics.  ``sanitize`` is the
-    #: object engine plus per-burst structural invariant checks
-    #: (:mod:`repro.analysis.sanitize`) — same metrics, debug-grade
-    #: speed; the ``REPRO_SANITIZE=1`` environment variable layers the
-    #: same checks on top of either engine instead.
+    #: produce bit-identical simulated metrics.  The ``REPRO_SANITIZE=1``
+    #: environment variable layers per-burst structural invariant
+    #: checks (:mod:`repro.analysis.sanitize`) on top of either engine.
     engine: str = "object"
     data_path: str = "legacy"
     medium: str = "remote"
@@ -115,16 +114,6 @@ class MachineConfig:
     ghb_degree: int = 4
     kswapd_period_ns: int = ms(50)
     kswapd_batch: int = 64
-
-    @property
-    def driver_engine(self) -> str:
-        """Burst-driver implementation behind ``engine``.
-
-        ``sanitize`` is the object driver with the invariant sweep
-        layered on the pipeline, so drivers dispatch on this value and
-        never see the sanitizer.
-        """
-        return "vectorized" if self.engine == "vectorized" else "object"
 
     def validate(self) -> None:
         if self.engine not in ENGINES:
@@ -234,7 +223,7 @@ class Machine:
             ),
             tracer=self.tracer,
         )
-        if config.engine == "sanitize" or sanitize_enabled():
+        if sanitize_enabled():
             # Swap in the invariant-checking pipeline before any access
             # runs; it is read-only, so simulated metrics stay
             # byte-identical to the plain run (see analysis/sanitize).
@@ -436,44 +425,45 @@ class Machine:
         """Bring a crashed server back (empty: contents were lost)."""
         self._require_cluster().recover_server(server_id)
 
-    def run_cluster(
-        self,
-        workloads,
-        cores: int | None = None,
-        memory_fraction: float = 0.5,
-        warmup: bool = True,
-        max_total_accesses: int | None = None,
-        allow_migration: bool = True,
-        failure_plan=(),
-        timeline=None,
-        epoch_ns=None,
-        on_epoch=None,
-    ):
+    def run_cluster(self, workloads, *, failure_plan=(), timeline=None, **options):
         """Run *workloads* across N app cores and M memory servers.
 
-        The cluster entry point: like :meth:`run_concurrent`, but the
-        machine must be built with ``cluster_config()`` and
+        The cluster entry point: :meth:`run_concurrent` (which takes
+        *options*) on a machine built with ``cluster_config()``, plus
         *failure_plan* (:class:`repro.cluster.FailureEvent` entries,
-        times relative to the measured phase) injects server crashes
-        and recoveries mid-run.  See
-        :func:`repro.sim.scheduler.simulate_cluster`.
+        times relative to the measured phase), which crashes and
+        recovers memory servers mid-run.  A ``fail`` event atomically
+        fails the server and remaps every slab it hosted (replica
+        promotion / archive re-fetch / re-replication), so the run
+        completes with contents intact whenever a copy survived.
+        Failure events follow the caller's *timeline* (e.g. scenario
+        memory-limit phases), so at equal times the timeline's
+        callbacks fire first.
         """
-        from repro.sim.scheduler import simulate_cluster
-
         self._require_cluster()
-        return simulate_cluster(
-            self,
-            workloads,
-            cores=cores,
-            memory_fraction=memory_fraction,
-            warmup=warmup,
-            max_total_accesses=max_total_accesses,
-            allow_migration=allow_migration,
-            failure_plan=failure_plan,
-            timeline=timeline,
-            epoch_ns=epoch_ns,
-            on_epoch=on_epoch,
-        )
+        merged = list(timeline or ())
+        merged += [(event.time_ns, self._failure_callback(event)) for event in failure_plan]
+        return self.run_concurrent(workloads, timeline=merged, **options)
+
+    def _failure_callback(self, event):
+        """Timeline callback for one failure-plan *event*.
+
+        Marks the injection at its exact simulated time in a recording
+        (``fail_server`` itself has no ``now`` — the timeline owns the
+        clock here).
+        """
+        server_id = event.server_id
+
+        def fire(at: int):
+            if event.action == "fail":
+                if self.tracer.enabled:
+                    self.tracer.instant(CLUSTER_FAIL, TRACK_MACHINE, at, server_id)
+                return self.fail_server(server_id)
+            if self.tracer.enabled:
+                self.tracer.instant(CLUSTER_RECOVER, TRACK_MACHINE, at, server_id)
+            return self.recover_server(server_id)
+
+        return fire
 
     # -- measurement management ------------------------------------------------
     def reset_measurements(self) -> None:

@@ -3,10 +3,9 @@
 Each process owns a private :class:`VirtualClock`.  The driver advances
 it by the workload's *think time* (compute between memory touches) and
 by whatever latency the VMM charges for the access itself.  The
-scheduler in :mod:`repro.sim.run` interleaves processes by always
-stepping the one whose clock is furthest behind, which keeps shared
-infrastructure (dispatch queues, kswapd) seeing globally monotonic
-time.
+event loop in :mod:`repro.sim.scheduler` interleaves processes in
+(clock, index) order, which keeps shared infrastructure (dispatch
+queues, kswapd) seeing globally monotonic time.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class ProcessDriver:
         #: nanoseconds — the per-process population behind the paper's
         #: latency CDFs, and what :mod:`repro.perf` summarizes per app.
         self.fault_latencies: list[int] = []
-        #: Time spent waiting for a busy core (concurrent engine only).
+        #: Time spent waiting for a busy core.
         self.core_wait_ns = 0
         #: Core migrations the scheduler performed on this process.
         self.migrations = 0

@@ -1,10 +1,9 @@
-"""Simulation driver: warmup, scheduling, and run results.
+"""Run results and the warmup pass.
 
-``run_processes`` interleaves any number of process drivers by always
-stepping the one with the smallest local clock, so shared state (RDMA
-dispatch queues, the page cache, kswapd) observes globally monotonic
-time — this is what makes the four-applications-at-once experiment
-(Figure 13) meaningful rather than four serialized runs.
+:class:`RunResult` is what every entry point returns — ``simulate``,
+``Machine.run_concurrent`` and ``Machine.run_cluster`` all run on the one
+event loop in :mod:`repro.sim.scheduler`, so a single result type
+carries the per-process summaries and the scheduler's core-level view.
 
 ``warmup_process`` performs the materialization pass: touching the
 whole working set once populates the page tables, pushes the overflow
@@ -15,9 +14,8 @@ depend on.  Measurements are normally reset after warmup.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.mem.vmm import AccessKind
 from repro.sim.machine import Machine
@@ -25,9 +23,9 @@ from repro.sim.process import PageAccess, ProcessDriver
 from repro.sim.units import NS_PER_SEC, to_seconds
 
 __all__ = [
+    "CoreSummary",
     "ProcessSummary",
     "RunResult",
-    "run_processes",
     "summarize_driver",
     "warmup_process",
     "sequential_touch",
@@ -45,7 +43,7 @@ class ProcessSummary:
     total_fault_latency_ns: int
     #: Per-fault latency samples (ns), for per-process percentiles.
     fault_latencies: list[int] = field(default_factory=list, repr=False)
-    #: Time spent waiting for a busy core (concurrent engine only).
+    #: Time spent waiting for a busy core.
     core_wait_ns: int = 0
     #: Core migrations performed on this process.
     migrations: int = 0
@@ -61,12 +59,33 @@ class ProcessSummary:
         return total_ops * NS_PER_SEC / self.completion_ns
 
 
+@dataclass(frozen=True, slots=True)
+class CoreSummary:
+    """Occupancy of one core over a run."""
+
+    core_id: int
+    busy_ns: int
+    accesses: int
+
+    def utilization(self, makespan_ns: int) -> float:
+        if makespan_ns <= 0:
+            return 0.0
+        return self.busy_ns / makespan_ns
+
+
 @dataclass(slots=True)
 class RunResult:
     """Everything a benchmark needs from one run."""
 
     machine: Machine
     processes: dict[int, ProcessSummary]
+    cores: dict[int, CoreSummary] = field(default_factory=dict)
+    migrations: int = 0
+    #: Timeline events (failure injections, limit-schedule phases)
+    #: whose simulated time never arrived before the run finished —
+    #: surfaced so short runs cannot silently drop the very events
+    #: that define them.
+    unfired_timeline_events: int = 0
 
     @property
     def recorder(self):
@@ -87,6 +106,10 @@ class RunResult:
     def makespan_ns(self) -> int:
         return max(summary.completion_ns for summary in self.processes.values())
 
+    @property
+    def total_core_wait_ns(self) -> int:
+        return sum(summary.core_wait_ns for summary in self.processes.values())
+
 
 def sequential_touch(wss_pages: int, think_ns: int = 200) -> Iterator[PageAccess]:
     """A one-pass sequential touch of every page (write, like loading)."""
@@ -104,47 +127,6 @@ def warmup_process(machine: Machine, pid: int, start_ns: int = 0) -> int:
         pass
     assert driver.finished_ns is not None
     return driver.finished_ns
-
-
-def run_processes(
-    machine: Machine,
-    drivers: Iterable[ProcessDriver],
-    max_total_accesses: int | None = None,
-) -> RunResult:
-    """Run drivers to completion with min-clock interleaving.
-
-    ``max_total_accesses`` is a safety valve for open-ended traces: when
-    the budget is hit, every driver is marked finished at its current
-    clock, so completion times remain meaningful.
-    """
-    all_drivers = list(drivers)
-    heap: list[tuple[int, int, ProcessDriver]] = []
-    for index, driver in enumerate(all_drivers):
-        heapq.heappush(heap, (driver.clock.now, index, driver))
-    executed = 0
-    while heap:
-        _, index, driver = heapq.heappop(heap)
-        # Burst: run this driver through the batched fault path for as
-        # long as it stays the min-clock choice — bit-identical to
-        # stepping one access per pop, minus the per-access overhead.
-        if heap:
-            stop_time, stop_index = heap[0][0], heap[0][1]
-        else:
-            stop_time, stop_index = None, 0
-        budget = None if max_total_accesses is None else max_total_accesses - executed
-        ran = driver.step_burst(machine.vmm, index, stop_time, stop_index, budget=budget)
-        if not ran:
-            continue
-        executed += ran
-        if max_total_accesses is not None and executed >= max_total_accesses:
-            driver.finished_ns = driver.clock.now
-            for _, _, leftover in heap:
-                leftover.finished_ns = leftover.clock.now
-            break
-        if not driver.done:
-            heapq.heappush(heap, (driver.clock.now, index, driver))
-    summaries = {driver.pid: summarize_driver(driver) for driver in all_drivers}
-    return RunResult(machine=machine, processes=summaries)
 
 
 def summarize_driver(driver: ProcessDriver) -> ProcessSummary:

@@ -1,10 +1,11 @@
-"""Event-driven concurrent scheduler: N processes across M cores.
+"""The simulator's event loop: N processes across M cores.
 
 The paper's multi-tenant result (Figure 13) needs more than interleaved
 traces: applications compete for *cores* as well as for the fabric, and
 Leap's per-process-per-core isolation (§4.1) only matters when the
 scheduler can actually migrate a process between cores.  This module
-replaces the serialized per-app loop with a shared event loop:
+is the simulator's one event loop — ``simulate``, ``run_concurrent`` and
+``run_cluster`` all run on it:
 
 * every process is an event source; the heap orders events by the time
   a process becomes ready to issue its next access;
@@ -19,18 +20,18 @@ replaces the serialized per-app loop with a shared event loop:
 
 Everything is driven by the deterministic (time, sequence) heap order,
 so a fixed seed reproduces the exact same schedule, migrations
-included.
+included.  When every process is alone on its core (``run_processes``),
+nobody ever waits for a core and the schedule reduces to min-clock
+interleaving: always step the process whose clock is furthest behind.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.obs.names import (
-    CLUSTER_FAIL,
-    CLUSTER_RECOVER,
     SCHED_BURST,
     SCHED_EPOCH,
     SCHED_MIGRATE,
@@ -39,14 +40,12 @@ from repro.obs.names import (
     core_track,
 )
 from repro.sim.process import ProcessDriver, make_driver
-from repro.sim.run import ProcessSummary, RunResult, summarize_driver, warmup_process
+from repro.sim.run import CoreSummary, RunResult, summarize_driver, warmup_process
 from repro.sim.units import ms, us
 
 __all__ = [
-    "CoreSummary",
-    "ConcurrentRunResult",
     "ConcurrentScheduler",
-    "simulate_cluster",
+    "run_processes",
     "simulate_concurrent",
 ]
 
@@ -73,35 +72,17 @@ class _Core:
     accesses: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CoreSummary:
-    """Occupancy of one core over a concurrent run."""
-
-    core_id: int
-    busy_ns: int
-    accesses: int
-
-    def utilization(self, makespan_ns: int) -> float:
-        if makespan_ns <= 0:
-            return 0.0
-        return self.busy_ns / makespan_ns
-
-
-@dataclass(slots=True)
-class ConcurrentRunResult(RunResult):
-    """A :class:`RunResult` plus the scheduler's core-level view."""
-
-    cores: dict[int, CoreSummary] = field(default_factory=dict)
-    migrations: int = 0
-    #: Timeline events (failure injections, limit-schedule phases)
-    #: whose simulated time never arrived before the run finished —
-    #: surfaced so short runs cannot silently drop the very events
-    #: that define them.
-    unfired_timeline_events: int = 0
-
-    @property
-    def total_core_wait_ns(self) -> int:
-        return sum(summary.core_wait_ns for summary in self.processes.values())
+def _schedulable_cores(machine, cores: int | None) -> int:
+    """*cores* (default: the machine's core count), range-checked."""
+    n_cores = cores if cores is not None else machine.config.n_cores
+    if n_cores < 1:
+        raise ValueError(f"need at least one core, got {n_cores}")
+    if n_cores > machine.config.n_cores:
+        raise ValueError(
+            f"cannot schedule {n_cores} cores on a machine configured "
+            f"with {machine.config.n_cores}; raise MachineConfig.n_cores"
+        )
+    return n_cores
 
 
 class ConcurrentScheduler:
@@ -135,14 +116,7 @@ class ConcurrentScheduler:
         if epoch_ns is not None and on_epoch is not None and self.drivers:
             self._next_epoch = min(d.clock.now for d in self.drivers) + epoch_ns
         self.epochs_fired = 0
-        n_cores = cores if cores is not None else machine.config.n_cores
-        if n_cores < 1:
-            raise ValueError(f"need at least one core, got {n_cores}")
-        if n_cores > machine.config.n_cores:
-            raise ValueError(
-                f"cannot schedule {n_cores} cores on a machine configured "
-                f"with {machine.config.n_cores}; raise MachineConfig.n_cores"
-            )
+        n_cores = _schedulable_cores(machine, cores)
         self.cores = [_Core(core_id) for core_id in range(n_cores)]
         self.migration_threshold_ns = migration_threshold_ns
         self.migration_cost_ns = migration_cost_ns
@@ -267,7 +241,7 @@ class ConcurrentScheduler:
 
         return ConcurrentResidentWindow(self, vmm)
 
-    def run(self, max_total_accesses: int | None = None) -> ConcurrentRunResult:
+    def run(self, max_total_accesses: int | None = None) -> RunResult:
         """Run every driver to completion (or to the access budget).
 
         Each pop runs the chosen driver as a *burst* through the
@@ -346,12 +320,9 @@ class ConcurrentScheduler:
             # final pop is where due timeline events fired in the
             # per-access loop, and the pop path skips done drivers.
             heapq.heappush(heap, (end, index, driver))
-        summaries: dict[int, ProcessSummary] = {
-            driver.pid: summarize_driver(driver) for driver in self.drivers
-        }
-        return ConcurrentRunResult(
+        return RunResult(
             machine=self.machine,
-            processes=summaries,
+            processes={driver.pid: summarize_driver(driver) for driver in self.drivers},
             cores={
                 core.core_id: CoreSummary(
                     core_id=core.core_id,
@@ -363,6 +334,24 @@ class ConcurrentScheduler:
             migrations=self.migrations,
             unfired_timeline_events=len(self._timeline) - self._timeline_index,
         )
+
+
+def run_processes(
+    machine,
+    drivers: Iterable[ProcessDriver],
+    max_total_accesses: int | None = None,
+) -> RunResult:
+    """Run drivers to completion, each on its registered home core.
+
+    Migration is off, so a process alone on its core never waits and
+    the run is plain min-clock interleaving; processes that share a
+    core contend for it.  ``max_total_accesses`` is a safety valve for
+    open-ended traces: when the budget is hit, every driver is marked
+    finished at its current clock, so completion times remain
+    meaningful.
+    """
+    scheduler = ConcurrentScheduler(machine, drivers, allow_migration=False)
+    return scheduler.run(max_total_accesses)
 
 
 def simulate_concurrent(
@@ -378,7 +367,7 @@ def simulate_concurrent(
     timeline: Sequence[TimelineEvent] | None = None,
     epoch_ns: int | None = None,
     on_epoch: Callable[[int, ConcurrentScheduler], object] | None = None,
-) -> ConcurrentRunResult:
+) -> RunResult:
     """Wire *workloads* onto *machine* and run them concurrently.
 
     The concurrent counterpart of :func:`repro.sim.simulate.simulate`:
@@ -396,11 +385,7 @@ def simulate_concurrent(
         raise ValueError("need at least one workload")
     if not 0.0 < memory_fraction <= 1.0:
         raise ValueError(f"memory_fraction must be in (0, 1], got {memory_fraction}")
-    n_cores = cores if cores is not None else machine.config.n_cores
-    if not 1 <= n_cores <= machine.config.n_cores:
-        raise ValueError(
-            f"cores must be in [1, {machine.config.n_cores}], got {n_cores}"
-        )
+    n_cores = _schedulable_cores(machine, cores)
     for slot, (pid, workload) in enumerate(workloads.items()):
         limit = max(2, int(workload.wss_pages * memory_fraction))
         machine.add_process(
@@ -416,7 +401,7 @@ def simulate_concurrent(
             start_ns = max(start_ns, finish)
         machine.reset_measurements()
     drivers = [
-        make_driver(pid, workload, start_ns=start_ns, engine=machine.config.driver_engine)
+        make_driver(pid, workload, start_ns=start_ns, engine=machine.config.engine)
         for pid, workload in workloads.items()
     ]
     scheduler = ConcurrentScheduler(
@@ -433,61 +418,3 @@ def simulate_concurrent(
         on_epoch=on_epoch,
     )
     return scheduler.run(max_total_accesses=max_total_accesses)
-
-
-def simulate_cluster(
-    machine,
-    workloads: Mapping[int, object],
-    cores: int | None = None,
-    memory_fraction: float = 0.5,
-    warmup: bool = True,
-    max_total_accesses: int | None = None,
-    allow_migration: bool = True,
-    failure_plan: Iterable = (),
-    timeline: Sequence[TimelineEvent] | None = None,
-    epoch_ns: int | None = None,
-    on_epoch: Callable[[int, ConcurrentScheduler], object] | None = None,
-) -> ConcurrentRunResult:
-    """Run *workloads* on a cluster machine with failure injection.
-
-    The N-app-cores × M-memory-servers entry point: the concurrent
-    engine drives the app side while *failure_plan*
-    (:class:`repro.cluster.FailureEvent` entries, times relative to the
-    measured phase) crashes and recovers memory servers on the way.  A
-    ``fail`` event atomically fails the server and remaps every slab it
-    hosted (replica promotion / archive re-fetch / re-replication), so
-    the run completes with contents intact whenever a copy survived.
-    Extra *timeline* events (e.g. scenario memory-limit phases) are
-    merged with the failure plan's.
-    """
-    merged: list[TimelineEvent] = list(timeline or ())
-
-    def _traced_failure(action: str, server_id: int):
-        # Wrap the failure-plan callback so a recording marks the
-        # injection at its exact simulated time (fail_server itself has
-        # no `now` — the timeline owns the clock here).
-        def fire(at: int):
-            if action == "fail":
-                if machine.tracer.enabled:
-                    machine.tracer.instant(CLUSTER_FAIL, TRACK_MACHINE, at, server_id)
-                return machine.fail_server(server_id)
-            if machine.tracer.enabled:
-                machine.tracer.instant(CLUSTER_RECOVER, TRACK_MACHINE, at, server_id)
-            return machine.recover_server(server_id)
-
-        return fire
-
-    for event in failure_plan:
-        merged.append((event.time_ns, _traced_failure(event.action, event.server_id)))
-    return simulate_concurrent(
-        machine,
-        workloads,
-        cores=cores,
-        memory_fraction=memory_fraction,
-        warmup=warmup,
-        max_total_accesses=max_total_accesses,
-        allow_migration=allow_migration,
-        timeline=merged,
-        epoch_ns=epoch_ns,
-        on_epoch=on_epoch,
-    )

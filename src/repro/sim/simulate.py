@@ -4,10 +4,10 @@
 evaluation does: each process gets a cgroup limit expressed as a
 fraction of its peak (working set) memory — the 100% / 50% / 25%
 columns of Figure 11 — the working set is materialized by a warmup
-pass, measurements are reset, and the measured run is executed with
-min-clock interleaving.
+pass, measurements are reset, and the measured run is executed by
+:func:`~repro.sim.scheduler.run_processes` on the one event loop.
 
-Like the concurrent and cluster engines, every access faults through
+Like ``run_concurrent`` and ``run_cluster``, every access faults through
 the one staged :class:`~repro.datapath.pipeline.FaultPipeline` via the
 batched driver path (:meth:`~repro.sim.process.ProcessDriver.step_burst`),
 so completions are drained and background reclaim checked at batch
@@ -20,7 +20,8 @@ from typing import Mapping
 
 from repro.sim.machine import Machine
 from repro.sim.process import make_driver
-from repro.sim.run import RunResult, run_processes, warmup_process
+from repro.sim.run import RunResult, warmup_process
+from repro.sim.scheduler import run_processes
 from repro.workloads.base import Workload
 
 __all__ = ["simulate"]
@@ -39,6 +40,11 @@ def simulate(
     fraction of its working set (the paper's 1.0 / 0.5 / 0.25 settings).
     Returns the measured :class:`RunResult`; warmup activity is excluded
     from all metrics.
+
+    Processes are pinned round-robin over ``config.n_cores`` and never
+    migrate.  Up to ``n_cores`` processes each get a core of their own,
+    so none ever waits for one; beyond that, processes sharing a core
+    contend for it.
     """
     if not workloads:
         raise ValueError("need at least one workload")
@@ -56,7 +62,7 @@ def simulate(
             start_ns = max(start_ns, finish)
         machine.reset_measurements()
     drivers = [
-        make_driver(pid, workload, start_ns=start_ns, engine=machine.config.driver_engine)
+        make_driver(pid, workload, start_ns=start_ns, engine=machine.config.engine)
         for pid, workload in workloads.items()
     ]
     return run_processes(machine, drivers, max_total_accesses=max_total_accesses)

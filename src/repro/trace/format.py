@@ -180,7 +180,10 @@ def read_trace_v2_header(path: str | Path) -> dict:
         magic = handle.read(len(MAGIC))
         if magic != MAGIC:
             raise TraceFormatError(f"{path}: not a repro-trace v2 file")
-        (header_len,) = struct.unpack("<Q", handle.read(8))
+        length_field = handle.read(8)
+        if len(length_field) != 8:
+            raise TraceFormatError(f"{path}: truncated file (header length cut short)")
+        (header_len,) = struct.unpack("<Q", length_field)
         if not 2 <= header_len <= _MAX_HEADER_BYTES:
             raise TraceFormatError(f"{path}: implausible header length {header_len}")
         body = handle.read(header_len)
@@ -190,6 +193,8 @@ def read_trace_v2_header(path: str | Path) -> dict:
         header = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TraceFormatError(f"{path}: corrupt header JSON: {error}") from None
+    if not isinstance(header, dict):
+        raise TraceFormatError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise TraceFormatError(
             f"{path}: header declares format {header.get('format')!r}, "
@@ -202,6 +207,10 @@ def read_trace_v2_header(path: str | Path) -> dict:
     if not isinstance(count, int) or count <= 0:
         raise TraceFormatError(f"{path}: header count {count!r} must be positive")
     columns = header["columns"]
+    if not isinstance(columns, list) or not all(
+        isinstance(column, list) and len(column) == 2 for column in columns
+    ):
+        raise TraceFormatError(f"{path}: columns must be [name, dtype] pairs, got {columns!r}")
     if not columns or columns[0][0] != "vpn":
         raise TraceFormatError(f"{path}: first column must be 'vpn', got {columns!r}")
     data_start = _align(len(MAGIC) + 8 + header_len, _ALIGN)

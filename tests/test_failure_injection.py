@@ -12,7 +12,8 @@ import pytest
 from repro.rdma.agent import RemotePageLostError
 from repro.sim.machine import Machine, leap_config
 from repro.sim.process import ProcessDriver
-from repro.sim.run import run_processes, warmup_process
+from repro.sim.run import warmup_process
+from repro.sim.scheduler import run_processes
 from repro.workloads.patterns import StrideWorkload
 
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.cluster import FailureEvent
 from repro.kernel import AccessBlock, ColumnarCursor, pack_blocks
 from repro.mem.lru import ActiveInactiveLRU
-from repro.sim.machine import Machine, cluster_config, leap_config
+from repro.sim.machine import ENGINES, Machine, cluster_config, leap_config
 from repro.sim.process import PageAccess, ProcessDriver, make_driver
 from repro.sim.rng import SimRandom
 from repro.sim.simulate import simulate
@@ -44,8 +44,6 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.trace_io import RecordedWorkload
-
-ENGINES = ("object", "vectorized")
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +211,9 @@ def summary_fingerprint(result) -> dict:
             "core_wait_ns": summary.core_wait_ns,
             "migrations": summary.migrations,
         }
-    if hasattr(result, "cores"):
-        out["cores"] = {
-            cid: (core.busy_ns, core.accesses) for cid, core in result.cores.items()
-        }
-        out["migrations"] = result.migrations
-        out["unfired_timeline_events"] = result.unfired_timeline_events
+    out["cores"] = {cid: (core.busy_ns, core.accesses) for cid, core in result.cores.items()}
+    out["migrations"] = result.migrations
+    out["unfired_timeline_events"] = result.unfired_timeline_events
     return out
 
 

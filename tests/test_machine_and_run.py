@@ -11,7 +11,8 @@ from repro.sim.machine import (
     leap_config,
 )
 from repro.sim.process import PageAccess, ProcessDriver
-from repro.sim.run import run_processes, warmup_process
+from repro.sim.run import warmup_process
+from repro.sim.scheduler import run_processes
 from repro.sim.simulate import simulate
 from repro.workloads.patterns import SequentialWorkload, StrideWorkload
 

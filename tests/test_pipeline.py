@@ -23,8 +23,8 @@ from repro.rdma.completion import CompletionQueue, InflightKind
 from repro.sim.machine import Machine, MachineConfig, leap_config
 from repro.sim.process import ProcessDriver
 from repro.sim.rng import SimRandom
-from repro.sim.run import run_processes, sequential_touch
-from repro.sim.scheduler import ConcurrentScheduler
+from repro.sim.run import sequential_touch
+from repro.sim.scheduler import ConcurrentScheduler, run_processes
 from repro.sim.simulate import simulate
 from repro.storage.backends import SSDMedium
 from repro.workloads.patterns import StrideWorkload, ZipfianWorkload

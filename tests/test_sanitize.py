@@ -1,8 +1,9 @@
 """The runtime invariant sanitizer: zero drift, loud corruption.
 
-Two contracts under test.  First, the sanitizer *observes, never
-perturbs*: a sanitized run's simulated metrics are byte-identical to
-the plain run on either engine, including the fig13 smoke artifact.
+Two contracts under test.  First, the sanitizer (``REPRO_SANITIZE=1``)
+*observes, never perturbs*: a sanitized run's simulated metrics are
+byte-identical to the plain run on either engine, including the fig13
+smoke artifact.
 Second, each invariant family actually fires: corrupting the page
 table/LRU pairing, the cgroup ledger, the completion queue, or a slab
 raises :class:`InvariantViolation` naming the disagreement.
@@ -25,25 +26,41 @@ from repro.sim.simulate import simulate
 from repro.workloads import SequentialWorkload, ZipfianWorkload
 
 
-def run_machine(engine: str, config_fn=leap_config, **overrides):
+def run_machine(engine: str = "object", config_fn=leap_config, **overrides):
     machine = Machine(config_fn(seed=11, engine=engine, **overrides))
     workloads = {0: ZipfianWorkload(512, 4000)}
     result = simulate(machine, workloads, memory_fraction=0.5)
     return machine, result
 
 
+@pytest.fixture
+def sanitized(monkeypatch):
+    """Run :func:`run_machine` under ``REPRO_SANITIZE=1``."""
+
+    def run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_SANITIZE", "1")
+            return run_machine(*args, **kwargs)
+
+    return run
+
+
 class TestEngineWiring:
-    def test_sanitize_is_a_valid_engine(self):
-        assert "sanitize" in ENGINES
-        leap_config(engine="sanitize").validate()
+    def test_sanitize_is_not_an_engine(self):
+        retired = "sanitize"
+        assert retired not in ENGINES
+        with pytest.raises(ValueError, match="unknown engine"):
+            leap_config(engine=retired).validate()
 
-    def test_sanitize_drives_the_object_engine(self):
-        assert leap_config(engine="sanitize").driver_engine == "object"
-        assert leap_config(engine="object").driver_engine == "object"
-        assert leap_config(engine="vectorized").driver_engine == "vectorized"
+    def test_sanitizer_keeps_the_configured_engine(self, sanitized):
+        for engine in ENGINES:
+            machine, result = sanitized(engine)
+            assert isinstance(machine.vmm.pipeline, SanitizingFaultPipeline)
+            assert machine.config.engine == engine
+            assert result.processes[0].accesses == 4000
 
-    def test_sanitize_engine_installs_the_pipeline(self):
-        machine, _ = run_machine("sanitize")
+    def test_sanitizer_installs_the_pipeline(self, sanitized):
+        machine, _ = sanitized()
         pipeline = machine.vmm.pipeline
         assert isinstance(pipeline, SanitizingFaultPipeline)
         assert pipeline.batches_checked > 0
@@ -71,18 +88,18 @@ class TestEngineWiring:
 
 
 class TestZeroDrift:
-    def test_simulate_metrics_byte_identical_to_object(self):
+    def test_simulate_metrics_byte_identical_to_object(self, sanitized):
         _, plain = run_machine("object")
-        _, sanitized = run_machine("sanitize")
-        assert plain.metrics.as_dict() == sanitized.metrics.as_dict()
+        _, checked = sanitized("object")
+        assert plain.metrics.as_dict() == checked.metrics.as_dict()
         assert dataclasses.asdict(plain.cache_stats) == dataclasses.asdict(
-            sanitized.cache_stats
+            checked.cache_stats
         )
 
-    def test_cluster_medium_byte_identical(self):
+    def test_cluster_medium_byte_identical(self, sanitized):
         _, plain = run_machine("object", cluster_config)
-        _, sanitized = run_machine("sanitize", cluster_config)
-        assert plain.metrics.as_dict() == sanitized.metrics.as_dict()
+        _, checked = sanitized("object", cluster_config)
+        assert plain.metrics.as_dict() == checked.metrics.as_dict()
 
     def test_env_sanitizer_over_vectorized_concurrent(self, monkeypatch):
         def concurrent():
@@ -119,8 +136,12 @@ class TestZeroDrift:
 
 
 class TestInvariantChecks:
+    @pytest.fixture(autouse=True)
+    def sanitize_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+
     def _sanitized(self, config_fn=leap_config, **overrides):
-        machine, _ = run_machine("sanitize", config_fn, **overrides)
+        machine, _ = run_machine("object", config_fn, **overrides)
         pipeline = machine.vmm.pipeline
         now = 10**15  # far past every in-flight deadline
         pipeline.cq.drain(now)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
 
 import numpy as np
@@ -78,6 +79,12 @@ def small_columns(n=100, wss=32, seed=3):
     is_write = (rng.random(n) < 0.3).astype(np.bool_)
     think = np.where(rng.random(n) < 0.2, 500, 100).astype(np.int64)
     return vpn, is_write, think
+
+
+def write_raw_header(path, header) -> None:
+    """A v2 file holding only magic, length field and *header* JSON."""
+    body = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body)
 
 
 class TestV2Container:
@@ -144,6 +151,34 @@ class TestV2Container:
         with pytest.raises(TraceFormatError, match="magic"):
             read_trace_v2_header(path)
         assert sniff_trace(path) is None
+
+    def test_cut_length_field_rejected(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        path.write_bytes(MAGIC + b"\x10\x00")
+        with pytest.raises(TraceFormatError, match="truncated"):
+            read_trace_v2_header(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_raw_header(path, [1, 2])
+        with pytest.raises(TraceFormatError, match="not a JSON object"):
+            read_trace_v2_header(path)
+
+    def test_malformed_column_entry_rejected(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_raw_header(
+            path,
+            {
+                "format": "repro-trace/2",
+                "name": "t",
+                "wss_pages": 8,
+                "think_ns": 100,
+                "count": 4,
+                "columns": [["vpn", "<i8", "extra"]],
+            },
+        )
+        with pytest.raises(TraceFormatError, match=r"\[name, dtype\] pairs"):
+            read_trace_v2_header(path)
 
     def test_vpn_outside_wss_rejected(self, tmp_path):
         path = tmp_path / "t.rtrace"
