@@ -4,8 +4,9 @@ Two entry points, both bit-exact against the object engine:
 
 * :func:`step_burst_columnar` — the vectorized implementation of
   :meth:`~repro.sim.process.ProcessDriver.step_burst` for drivers fed
-  by a :class:`~repro.kernel.columnar.ColumnarCursor`.  It classifies a
-  lookahead of upcoming accesses with one residency-mask gather, bulk
+  by a :class:`~repro.kernel.columnar.ColumnarCursor`.  It checks the
+  head access with one scalar mask read and, when that is resident,
+  classifies a lookahead of upcoming accesses with one gather, bulk
   applies whole resident runs (collapsed LRU references, deduplicated
   dirty bits, one clock jump), and drops to the staged
   :class:`~repro.datapath.pipeline.FaultPipeline` — the oracle — for
@@ -99,14 +100,14 @@ def _apply_resident_run(page_table, resident_lru, vpns, writes) -> None:
         if writes[0]:
             page_table.mark_dirty(vpn)
         return
-    reversed_vpns = vpns[::-1]
-    unique, first_in_reversed = np.unique(reversed_vpns, return_index=True)
-    # First occurrence in the reversed run is the last occurrence in the
-    # original; ascending last-use order = descending reversed index.
-    order = np.argsort(first_in_reversed)[::-1]
-    resident_lru.reference_bulk(unique[order].tolist())
+    # Walking the run backwards, a page's first occurrence is its last
+    # use; dict.fromkeys keeps first insertions in order, so its keys
+    # run in descending last-use order and reversing them yields the
+    # ascending last-use order without a sort.
+    by_last_use_desc = dict.fromkeys(reversed(vpns.tolist()))
+    resident_lru.reference_bulk(list(reversed(by_last_use_desc)))
     if writes.any():
-        page_table.mark_dirty_bulk(np.unique(vpns[writes]).tolist())
+        page_table.mark_dirty_bulk(set(vpns[writes].tolist()))
 
 
 def _fire_scans_in_run(pipeline, cum, n: int) -> None:
@@ -160,6 +161,7 @@ def step_burst_columnar(
             mask,
         )
     page_table, resident_lru, mask = state
+    mask_len = len(mask)
     cursor = driver.cursor
     kind_counts = driver.kind_counts
     fault_latencies = driver.fault_latencies
@@ -184,14 +186,14 @@ def step_burst_columnar(
             driver.finished_ns = clock.now
             break
         vpns, writes, thinks = cursor.tail()
-        look = lookahead if lookahead < len(vpns) else len(vpns)
-        run = leading_resident(mask, vpns[:look])
-        if run == 0:
+        head = int(vpns[0])
+        if not (0 <= head < mask_len and mask[head]):
             # Not provably resident: one scalar access through the
             # oracle pipeline (which re-classifies, so a conservative
-            # miss here can never change the outcome).
+            # miss here can never change the outcome, and an
+            # out-of-range vpn raises the object engine's error).
             now = clock.advance(int(thinks[0]))
-            outcome = pipeline_access(pid, int(vpns[0]), now, bool(writes[0]))
+            outcome = pipeline_access(pid, head, now, bool(writes[0]))
             latency = outcome.latency_ns
             clock.advance(latency)
             kind_counts[outcome.kind] += 1
@@ -204,6 +206,8 @@ def step_burst_columnar(
             if lookahead > MIN_LOOKAHEAD:
                 lookahead >>= 1
             continue
+        look = lookahead if lookahead < len(vpns) else len(vpns)
+        run = leading_resident(mask, vpns[:look])
         cum = clock.now + np.cumsum(thinks[:run])
         n = run
         if events_at is not None:
@@ -343,7 +347,12 @@ class ConcurrentResidentWindow:
             look = state[4]
             if look > len(vpns):
                 look = len(vpns)
-            run = leading_resident(state[3], vpns[:look])
+            mask = state[3]
+            head = int(vpns[0])
+            if 0 <= head < len(mask) and mask[head]:
+                run = leading_resident(mask, vpns[:look])
+            else:
+                run = 0
             if run == look and state[4] < MAX_LOOKAHEAD:
                 state[4] = state[4] * 2
             elif run < (look >> 2) and state[4] > MIN_LOOKAHEAD:

@@ -156,16 +156,21 @@ class ActiveInactiveLRU(Generic[K, V]):
         the bulk path the vectorized burst kernel uses for resident
         runs, so the :meth:`reference` steps are inlined onto the
         underlying dicts (a key is never on both lists, so promotion is
-        a plain move and re-reference a pop/re-insert).
+        a plain move and re-reference a pop/re-insert).  The active
+        list is tried first because the keys of a resident run are
+        mostly hot already; keys on neither list are skipped, as
+        :meth:`reference` skips them.
         """
-        inactive = self._inactive._entries
         active = self._active._entries
+        inactive_pop = self._inactive._entries.pop
+        active_pop = active.pop
         for key in keys_last_use_order:
-            value = inactive.pop(key, _MISSING)
-            if value is not _MISSING:
-                active[key] = value
-            elif key in active:
-                active[key] = active.pop(key)
+            value = active_pop(key, _MISSING)
+            if value is _MISSING:
+                value = inactive_pop(key, _MISSING)
+                if value is _MISSING:
+                    continue
+            active[key] = value
 
     def remove(self, key: K) -> Optional[V]:
         value = self._inactive.pop(key, _MISSING)  # type: ignore[arg-type]

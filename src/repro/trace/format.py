@@ -122,11 +122,15 @@ def write_trace_v2(
         raise ValueError(
             f"trace vpns span [{lo}, {hi}], outside working set [0, {wss_pages})"
         )
+    if think_default < 0:
+        raise ValueError(f"think_default must be non-negative, got {think_default}")
     sections: dict[str, "np.ndarray"] = {}
     if think_ns is not None:
         think_arr = np.ascontiguousarray(think_ns, dtype=np.int64)
         if len(think_arr) != count:
             raise ValueError("think_ns column length mismatch")
+        if think_arr.min() < 0:
+            raise ValueError("think_ns column holds a negative think time")
         if not (think_arr == think_default).all():
             sections["think_ns"] = think_arr
     if is_write is not None:
@@ -203,9 +207,13 @@ def read_trace_v2_header(path: str | Path) -> dict:
     for key in ("name", "wss_pages", "think_ns", "count", "columns"):
         if key not in header:
             raise TraceFormatError(f"{path}: header missing {key!r}")
+    for key, least in (("count", 1), ("wss_pages", 1), ("think_ns", 0)):
+        value = header[key]
+        if type(value) is not int or value < least:
+            raise TraceFormatError(
+                f"{path}: header {key} {value!r} must be an integer >= {least}"
+            )
     count = header["count"]
-    if not isinstance(count, int) or count <= 0:
-        raise TraceFormatError(f"{path}: header count {count!r} must be positive")
     columns = header["columns"]
     if not isinstance(columns, list) or not all(
         isinstance(column, list) and len(column) == 2 for column in columns
@@ -230,10 +238,14 @@ def open_trace_v2(
 ) -> "ColumnarTraceWorkload":
     """Memory-map a v2 trace into a replayable columnar workload.
 
-    The columns stay on disk (``np.memmap`` read-only views); omitted
-    columns come back as broadcast views.  *validate* runs the O(n)
-    bounds scans (vpn within the working set, is_write ∈ {0, 1}) —
-    milliseconds per million accesses, skippable for hot reopen paths.
+    The columns stay on disk: each is a plain read-only ``np.ndarray``
+    view of an ``np.memmap`` section (the view's base keeps the mapping
+    alive, and slicing it runs none of ``np.memmap``'s Python hooks);
+    omitted columns come back as broadcast views.  *validate* runs the
+    O(n) scans (vpn within the working set, is_write ∈ {0, 1}, no
+    negative think time) — milliseconds per million accesses,
+    skippable for hot reopen paths.  Every violation raises
+    :class:`TraceFormatError`.
     """
     import numpy as np
 
@@ -247,7 +259,7 @@ def open_trace_v2(
     for name, dtype, offset, _ in layout:
         arrays[name] = np.memmap(
             path, dtype=np.dtype(dtype), mode="r", offset=offset, shape=(count,)
-        )
+        ).view(np.ndarray)
     vpn = arrays["vpn"]
     if "is_write" in arrays:
         raw = arrays["is_write"]
@@ -260,15 +272,18 @@ def open_trace_v2(
         think = arrays["think_ns"]
     else:
         think = np.broadcast_to(np.int64(header["think_ns"]), (count,))
-    workload = ColumnarTraceWorkload(
-        vpn,
-        is_write,
-        think,
-        wss_pages=header["wss_pages"],
-        think_ns=header["think_ns"],
-        name=header["name"],
-        validate=validate,
-    )
+    try:
+        workload = ColumnarTraceWorkload(
+            vpn,
+            is_write,
+            think,
+            wss_pages=header["wss_pages"],
+            think_ns=header["think_ns"],
+            name=header["name"],
+            validate=validate,
+        )
+    except ValueError as error:
+        raise TraceFormatError(f"{path}: {error}") from None
     workload.source_path = path
     workload.provenance = dict(header.get("provenance", {}))
     return workload
@@ -313,6 +328,8 @@ class ColumnarTraceWorkload(Workload):
                 raise ValueError(
                     f"trace access vpn span [{lo}, {hi}] outside wss {wss_pages}"
                 )
+            if think_ns_col.min() < 0:
+                raise ValueError("trace think_ns column holds a negative think time")
         self.vpn = vpn
         self.is_write = is_write
         self.think_ns_col = think_ns_col

@@ -37,6 +37,8 @@ class Workload(abc.ABC):
             raise ValueError(f"wss_pages must be positive, got {wss_pages}")
         if total_accesses <= 0:
             raise ValueError(f"total_accesses must be positive, got {total_accesses}")
+        if think_ns < 0:
+            raise ValueError(f"think_ns must be non-negative, got {think_ns}")
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
         self.wss_pages = wss_pages

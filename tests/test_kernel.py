@@ -7,8 +7,9 @@ run entry point.  These tests pin that promise at three levels:
 
 * columnar generation — every workload's ``columnar_blocks()`` stream
   concatenates to exactly its ``accesses()`` stream;
-* primitive batch ops — ``SimRandom.random_array`` and
-  ``reference_bulk`` match their scalar counterparts draw for draw;
+* primitive batch ops — ``SimRandom.random_array`` and the kernel's
+  resident-run collapse (``_apply_resident_run``) match their scalar
+  counterparts draw for draw;
 * whole runs — ``simulate`` / ``run_concurrent`` / ``run_cluster``
   under both engines, including the edge cases that stress the
   kernel's stop bounds (cgroup resize timelines, server failures,
@@ -30,7 +31,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import FailureEvent
 from repro.kernel import AccessBlock, ColumnarCursor, pack_blocks
+from repro.kernel.vectorized import _apply_resident_run
 from repro.mem.lru import ActiveInactiveLRU
+from repro.mem.page_table import PageTable
 from repro.sim.machine import ENGINES, Machine, cluster_config, leap_config
 from repro.sim.process import PageAccess, ProcessDriver, make_driver
 from repro.sim.rng import SimRandom
@@ -144,25 +147,73 @@ class TestRandomArray:
 
 
 class TestReferenceBulk:
-    @settings(max_examples=50, deadline=None)
+    """The kernel's collapsed resident run equals per-access bookkeeping.
+
+    ``_apply_resident_run`` replaces a run of ``reference()`` +
+    ``mark_dirty()`` calls with one ``reference_bulk`` in last-use order
+    plus one deduplicated dirty batch.  Runs here repeat keys, mix in
+    writes, and start from LRUs holding keys on both lists.
+    """
+
+    @staticmethod
+    def preloaded(keys: int, promoted):
+        page_table = PageTable(pid=1)
+        lru = ActiveInactiveLRU()
+        for vpn in range(keys):
+            page_table.map_page(vpn, frame=vpn, now=0)
+            lru.add(vpn, vpn)
+        for vpn in promoted:
+            lru.reference(vpn)
+        return page_table, lru
+
+    def assert_collapse_matches(self, keys, promoted, vpns, writes):
+        scalar_table, scalar_lru = self.preloaded(keys, promoted)
+        bulk_table, bulk_lru = self.preloaded(keys, promoted)
+        for vpn, write in zip(vpns, writes):
+            scalar_lru.reference(vpn)
+            if write:
+                scalar_table.mark_dirty(vpn)
+        _apply_resident_run(
+            bulk_table,
+            bulk_lru,
+            np.array(vpns, dtype=np.int64),
+            np.array(writes, dtype=np.bool_),
+        )
+        assert bulk_lru.keys_eviction_order() == scalar_lru.keys_eviction_order()
+        assert bulk_lru.active_count == scalar_lru.active_count
+        dirty = [
+            sorted(vpn for vpn in range(keys) if table.lookup(vpn).dirty)
+            for table in (scalar_table, bulk_table)
+        ]
+        assert dirty[0] == dirty[1]
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=60),
-        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda keys: st.tuples(
+                st.just(keys),
+                st.lists(st.integers(0, keys - 1), max_size=keys),
+                st.lists(
+                    st.tuples(st.integers(0, keys - 1), st.booleans()),
+                    min_size=1,
+                    max_size=300,
+                ),
+            )
+        )
     )
-    def test_collapse_matches_per_access_references(self, run, preloaded):
-        scalar = ActiveInactiveLRU()
-        bulk = ActiveInactiveLRU()
-        for lru in (scalar, bulk):
-            for vpn in range(preloaded):
-                lru.add(vpn, vpn)
-        for vpn in run:
-            scalar.reference(vpn)
-        # Collapse the run exactly as the kernel does: one entry per
-        # distinct key, ordered by last occurrence.
-        arr = np.array(run, dtype=np.int64)[::-1]
-        unique, first = np.unique(arr, return_index=True)
-        bulk.reference_bulk(unique[np.argsort(first)[::-1]].tolist())
-        assert scalar.keys_eviction_order() == bulk.keys_eviction_order()
+    def test_collapse_matches_per_access_references(self, case):
+        keys, promoted, run = case
+        vpns = [vpn for vpn, _ in run]
+        writes = [write for _, write in run]
+        self.assert_collapse_matches(keys, promoted, vpns, writes)
+
+    @pytest.mark.parametrize("length", [2, 63, 64, 65, 400])
+    def test_collapse_matches_on_long_runs(self, length):
+        rng = np.random.default_rng(length)  # test-only data, not sim state
+        vpns = rng.integers(0, 48, size=length).tolist()
+        writes = (rng.random(length) < 0.3).tolist()
+        promoted = rng.integers(0, 48, size=20).tolist()
+        self.assert_collapse_matches(48, promoted, vpns, writes)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,18 @@ class TestActiveInactiveLRU:
         lru = ActiveInactiveLRU()
         assert lru.reference("zzz") is False
 
+    def test_reference_bulk_skips_missing_keys(self):
+        scalar, bulk = ActiveInactiveLRU(), ActiveInactiveLRU()
+        for lru in (scalar, bulk):
+            lru.add("a", 1)
+            lru.add("b", 2)
+            lru.reference("b")
+        for key in ("zzz", "b", "a", "yyy"):
+            scalar.reference(key)
+        bulk.reference_bulk(["zzz", "b", "a", "yyy"])
+        assert bulk.keys_eviction_order() == scalar.keys_eviction_order() == ["b", "a"]
+        assert bulk.active_count == 2
+
     def test_scan_takes_cold_inactive_first(self):
         lru = ActiveInactiveLRU()
         for key in "abcd":

@@ -81,10 +81,32 @@ def small_columns(n=100, wss=32, seed=3):
     return vpn, is_write, think
 
 
-def write_raw_header(path, header) -> None:
-    """A v2 file holding only magic, length field and *header* JSON."""
+def write_raw_trace(path, header, *columns) -> None:
+    """A v2 file with *header* JSON verbatim and *columns* (int64) as its
+    sections; with no columns, a file cut short after the header."""
     body = json.dumps(header).encode()
-    path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body)
+    start = (len(MAGIC) + 8 + len(body) + 63) // 64 * 64
+    pad = b" " * (start - len(MAGIC) - 8 - len(body))
+    data = b"".join(np.asarray(c, dtype="<i8").tobytes() for c in columns)
+    path.write_bytes(MAGIC + struct.pack("<Q", len(body)) + body + pad + data)
+
+
+def mapping_of(column):
+    """The ``np.memmap`` at the root of *column*'s base chain, if any."""
+    base = column.base
+    while base is not None and not isinstance(base, np.memmap):
+        base = getattr(base, "base", None)
+    return base
+
+
+VALID_HEADER = {
+    "format": "repro-trace/2",
+    "name": "t",
+    "wss_pages": 16,
+    "think_ns": 100,
+    "count": 8,
+    "columns": [["vpn", "<i8"]],
+}
 
 
 class TestV2Container:
@@ -160,13 +182,13 @@ class TestV2Container:
 
     def test_non_object_header_rejected(self, tmp_path):
         path = tmp_path / "t.rtrace"
-        write_raw_header(path, [1, 2])
+        write_raw_trace(path, [1, 2])
         with pytest.raises(TraceFormatError, match="not a JSON object"):
             read_trace_v2_header(path)
 
     def test_malformed_column_entry_rejected(self, tmp_path):
         path = tmp_path / "t.rtrace"
-        write_raw_header(
+        write_raw_trace(
             path,
             {
                 "format": "repro-trace/2",
@@ -179,6 +201,66 @@ class TestV2Container:
         )
         with pytest.raises(TraceFormatError, match=r"\[name, dtype\] pairs"):
             read_trace_v2_header(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("wss_pages", "x"),
+            ("wss_pages", 16.5),
+            ("wss_pages", 0),
+            ("wss_pages", True),
+            ("think_ns", "x"),
+            ("think_ns", -1),
+            ("think_ns", False),
+            ("count", True),
+            ("count", 8.0),
+        ],
+    )
+    def test_malformed_header_field_rejected(self, tmp_path, key, value):
+        path = tmp_path / "t.rtrace"
+        write_raw_trace(path, {**VALID_HEADER, key: value}, np.arange(8))
+        with pytest.raises(TraceFormatError, match=f"header {key} "):
+            open_trace_v2(path)
+
+    def test_wss_smaller_than_vpn_span_rejected(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_raw_trace(path, {**VALID_HEADER, "wss_pages": 4}, np.arange(8))
+        with pytest.raises(TraceFormatError, match="outside wss 4"):
+            open_trace_v2(path)
+
+    def test_negative_think_rejected_everywhere(self, tmp_path):
+        # A negative think time would split the engines on replay: the
+        # object engine's clock raises ClockError while the vectorized
+        # engine's jump to a past instant is a no-op.
+        vpn = np.arange(8, dtype=np.int64)
+        think = np.full(8, 100, dtype=np.int64)
+        think[3] = -5
+        path = tmp_path / "t.rtrace"
+        with pytest.raises(ValueError, match="negative think"):
+            write_trace_v2(path, vpn, None, think, wss_pages=16)
+        with pytest.raises(ValueError, match="non-negative"):
+            write_trace_v2(path, vpn, wss_pages=16, think_default=-1)
+        header = {**VALID_HEADER, "columns": [["vpn", "<i8"], ["think_ns", "<i8"]]}
+        write_raw_trace(path, header, vpn, think)
+        with pytest.raises(TraceFormatError, match="negative think"):
+            open_trace_v2(path)
+        no_writes = np.zeros(8, dtype=np.bool_)
+        with pytest.raises(ValueError, match="negative think"):
+            ColumnarTraceWorkload(vpn, no_writes, think, wss_pages=16)
+        with pytest.raises(ValueError, match="think_ns must be non-negative"):
+            ZipfianWorkload(wss_pages=16, total_accesses=8, think_ns=-1)
+
+    def test_columns_are_plain_readonly_views_of_the_map(self, tmp_path):
+        vpn, is_write, think = small_columns()
+        path = tmp_path / "t.rtrace"
+        write_trace_v2(path, vpn, is_write, think, wss_pages=32, think_default=100)
+        trace = open_trace_v2(path)
+        for column in trace.columns():
+            assert type(column) is np.ndarray
+            assert not column.flags.writeable
+            mapping = mapping_of(column)
+            assert mapping is not None
+            assert np.shares_memory(column, mapping)
 
     def test_vpn_outside_wss_rejected(self, tmp_path):
         path = tmp_path / "t.rtrace"
@@ -390,6 +472,58 @@ class TestReplayEquivalence:
 
         obj, vec = run_both(build)
         assert obj == vec
+
+
+class TestOutOfRangeVpn:
+    """An unvalidated trace's out-of-range vpn fails alike on both engines.
+
+    The vectorized kernel reads the residency mask for the head access
+    and gathers it for a lookahead; an out-of-range vpn must classify
+    as non-resident in both places (a negative one must not wrap) and
+    reach the pipeline, which raises the object engine's error.
+    """
+
+    WSS = 8
+
+    def trace(self, vpns):
+        vpn = np.array(vpns, dtype=np.int64)
+        return ColumnarTraceWorkload(
+            vpn,
+            np.zeros(len(vpn), dtype=np.bool_),
+            np.full(len(vpn), 100, dtype=np.int64),
+            wss_pages=self.WSS,
+            validate=False,
+        )
+
+    @pytest.mark.parametrize("bad", [WSS, WSS + 50, -1])
+    @pytest.mark.parametrize(
+        "where", ["first access", "after a fault", "mid-run", "concurrent mid-run"]
+    )
+    def test_engines_raise_the_same_error(self, bad, where):
+        # Every page ends up resident, so a wrapped -1 would read the
+        # last page's resident cell.
+        resident_run = list(range(self.WSS)) * 25
+        vpns = {
+            "first access": [bad, 0, 1],
+            "after a fault": [self.WSS - 1, bad, 0],
+            "mid-run": resident_run + [bad, 0],
+            "concurrent mid-run": resident_run + [bad, 0],
+        }[where]
+
+        def build(engine):
+            machine = Machine(leap_config(seed=3, n_cores=2, engine=engine))
+            workloads = {1: self.trace(vpns)}
+            with pytest.raises(ValueError) as caught:
+                if where == "concurrent mid-run":
+                    workloads[2] = self.trace(resident_run * 2)
+                    machine.run_concurrent(workloads, cores=2, memory_fraction=1.0)
+                else:
+                    simulate(machine, workloads, memory_fraction=1.0)
+            return type(caught.value), str(caught.value)
+
+        obj, vec = run_both(build)
+        assert obj == vec
+        assert f"vpn {bad} outside address space" in vec[1]
 
 
 @settings(max_examples=30, deadline=None)
