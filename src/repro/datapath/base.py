@@ -24,15 +24,17 @@ import abc
 from dataclasses import dataclass
 
 from repro.datapath.backends import IOBackend
-from repro.datapath.stages import StageModel, StageSample
+from repro.datapath.stages import StageModel
+from repro.rdma.qp import Submission
 from repro.sim.rng import DEFAULT_POOL_SIZE, SamplePool, SimRandom
 
 __all__ = ["DataPath", "ReadTiming"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReadTiming:
-    """Timing decomposition of one demand read."""
+    """Timing decomposition of one demand read (a value; not frozen,
+    since one is built per read)."""
 
     software_ns: int
     queueing_delay_ns: int
@@ -75,31 +77,28 @@ class DataPath(abc.ABC):
             )
         return pool.draw()
 
-    def _run_read(self, key: object, now: int, core: int, sample: StageSample) -> ReadTiming:
-        software = sample.total_ns
+    def _submit_read(self, key: object, at: int, core: int) -> Submission:
         backend = self.backend
         # Resolve the page's location to a serving node before dispatch
         # so the submission is charged to that server's queue pair (a
         # flat backend resolves to None and keeps its single fabric).
-        submission = backend.submit_read(
-            key, now + software, core, server=backend.resolve_server(key)
-        )
-        return ReadTiming(
-            software_ns=software,
-            queueing_delay_ns=submission.queueing_delay,
-            device_ns=submission.completed - submission.started,
-        )
+        return backend.submit_read(key, at, core, server=backend.resolve_server(key))
 
     def demand_read(self, key: object, now: int, core: int = 0) -> ReadTiming:
         """Blocking read of one page for a faulting process."""
         self.demand_reads += 1
-        return self._run_read(key, now, core, self.stages.sample_read())
+        software = self.stages.sample_read().total_ns
+        submission = self._submit_read(key, now + software, core)
+        started = submission.started
+        return ReadTiming(
+            software, started - submission.submitted, submission.completed - started
+        )
 
     def async_read(self, key: object, now: int, core: int = 0) -> int:
         """Non-blocking (prefetch) read; returns the completion time."""
         self.async_reads += 1
-        timing = self._run_read(key, now, core, self.stages.sample_read())
-        return now + timing.total_ns
+        software = self.stages.sample_read().total_ns
+        return self._submit_read(key, now + software, core).completed
 
     def async_read_batch(
         self, keys: list[object], now: int, core: int = 0

@@ -103,9 +103,13 @@ FAULT_KINDS = (
 PREFETCH_HIT_KINDS = (AccessKind.CACHE_HIT, AccessKind.CACHE_HIT_INFLIGHT)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessOutcome:
-    """Result of one page access."""
+    """Result of one page access.
+
+    Built once per fault, so it is not frozen (a frozen dataclass pays
+    ``object.__setattr__`` per field); callers treat it as a value.
+    """
 
     kind: AccessKind
     latency_ns: int

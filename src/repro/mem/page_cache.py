@@ -193,7 +193,7 @@ class LazyLRUPolicy(EvictionPolicy):
     free_on_consume = False
 
     def pick_victim(self, cache: PageCache, now: int) -> PageKey | None:
-        for key in cache.lru.keys_eviction_order():
+        for key in cache.lru.iter_eviction_order():
             entry = cache.entries.get(key)
             if entry is not None and entry.page.is_ready(now):
                 return key

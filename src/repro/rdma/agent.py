@@ -215,12 +215,11 @@ class HostAgent:
                 service_ns=self.fabric.service_time_ns(),
                 fabric_ns=self.fabric.fabric_latency_ns(),
             )
+            # The write completes when both copies have landed; the
+            # primary's submission is this call's own, so it is updated
+            # in place.
             if replica_sub.completed > submission.completed:
-                submission = Submission(
-                    submitted=submission.submitted,
-                    started=submission.started,
-                    completed=replica_sub.completed,
-                )
+                submission.completed = replica_sub.completed
         return submission
 
     # -- introspection -------------------------------------------------------

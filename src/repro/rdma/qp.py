@@ -17,9 +17,14 @@ from dataclasses import dataclass
 __all__ = ["DispatchQueue", "QueueStats", "Submission"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Submission:
-    """Timing of one operation through a dispatch queue."""
+    """Timing of one operation through a dispatch queue.
+
+    Not frozen: one is built per remote read or write, and a frozen
+    dataclass pays ``object.__setattr__`` per field on construction.
+    Treat it as a value all the same.
+    """
 
     submitted: int
     started: int
@@ -46,13 +51,6 @@ class QueueStats:
         #: pipeline's completion queues summarize per core.
         self.peak_backlog_ns = 0
 
-    def record(self, submission: Submission) -> None:
-        self.operations += 1
-        self.total_queueing_delay += submission.queueing_delay
-        self.max_queueing_delay = max(
-            self.max_queueing_delay, submission.queueing_delay
-        )
-
     @property
     def mean_queueing_delay(self) -> float:
         if self.operations == 0:
@@ -78,18 +76,22 @@ class DispatchQueue:
         """
         if service_ns < 0 or fabric_ns < 0:
             raise ValueError("service and fabric times must be non-negative")
-        backlog = self.busy_until - now
-        if backlog > self.stats.peak_backlog_ns:
-            self.stats.peak_backlog_ns = backlog
-        started = max(now, self.busy_until)
+        # Runs once per remote read or write, so the stats update is
+        # inline: a positive backlog is exactly the queueing delay.
+        stats = self.stats
+        stats.operations += 1
+        started = self.busy_until
+        backlog = started - now
+        if backlog > 0:
+            stats.total_queueing_delay += backlog
+            if backlog > stats.max_queueing_delay:
+                stats.max_queueing_delay = backlog
+            if backlog > stats.peak_backlog_ns:
+                stats.peak_backlog_ns = backlog
+        else:
+            started = now
         self.busy_until = started + service_ns
-        submission = Submission(
-            submitted=now,
-            started=started,
-            completed=started + service_ns + fabric_ns,
-        )
-        self.stats.record(submission)
-        return submission
+        return Submission(now, started, started + service_ns + fabric_ns)
 
     def depth_at(self, now: int) -> int:
         """Rough queue depth proxy: outstanding busy time in ops.

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 __all__ = ["Slab", "PageLocation", "SlabAllocator"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PageLocation:
-    """Where one page lives remotely: a slab and a slot within it."""
+    """Where one page lives remotely: a slab and a slot within it.
+
+    One is built per page placement, so it is not frozen; callers
+    treat it as a value.
+    """
 
     slab_id: int
     slot: int

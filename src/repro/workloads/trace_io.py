@@ -100,6 +100,10 @@ def _parse_access(
                 raise ValueError(
                     f"{path}:{line_number}: bad think flag {flag!r}"
                 ) from error
+            if think_ns < 0:
+                raise ValueError(
+                    f"{path}:{line_number}: negative think time {flag!r}"
+                )
         else:
             raise ValueError(f"{path}:{line_number}: unknown flag {flag!r}")
     return PageAccess(vpn=vpn, is_write=is_write, think_ns=think_ns)
@@ -114,6 +118,8 @@ def load_trace(path: str | Path) -> "RecordedWorkload":
             raise ValueError(f"{path}: not a repro trace (header {header!r})")
         metadata = _parse_metadata(handle.readline())
         think_ns = int(metadata.get("think_ns", 0))
+        if think_ns < 0:
+            raise ValueError(f"{path}: negative default think_ns={think_ns}")
         accesses: list[PageAccess] = []
         for line_number, line in enumerate(handle, start=3):
             line = line.strip()

@@ -1,6 +1,9 @@
 """Tests for LRU structures (repro.mem.lru)."""
 
-from hypothesis import given
+import math
+import random
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.lru import ActiveInactiveLRU, LRUList
@@ -172,3 +175,207 @@ class TestActiveInactiveLRU:
             assert lru.active_count + lru.inactive_count == len(members)
             for member in members:
                 assert member in lru
+
+
+# ---------------------------------------------------------------------------
+# Model-based check: both structures against plain-list reference models,
+# on random operation sequences (short ones from hypothesis directly, and
+# delete-heavy runs of thousands of operations driven by a drawn seed, so
+# pop-oldest is exercised after many removals have churned the lists).
+# ---------------------------------------------------------------------------
+
+
+class ListLRUModel:
+    """LRUList semantics on a list of (key, value) pairs, LRU first."""
+
+    def __init__(self):
+        self.items: list[tuple] = []
+
+    def index(self, key):
+        for position, (candidate, _) in enumerate(self.items):
+            if candidate == key:
+                return position
+        return None
+
+    def get(self, key):
+        position = self.index(key)
+        return None if position is None else self.items[position][1]
+
+    def add(self, key, value):
+        self.remove(key)
+        self.items.append((key, value))
+
+    def touch(self, key):
+        position = self.index(key)
+        if position is None:
+            return False
+        self.items.append(self.items.pop(position))
+        return True
+
+    def remove(self, key):
+        position = self.index(key)
+        return None if position is None else self.items.pop(position)[1]
+
+    def pop_lru(self):
+        return self.items.pop(0) if self.items else None
+
+    def peek_lru(self):
+        return self.items[0] if self.items else None
+
+    def keys(self):
+        return [key for key, _ in self.items]
+
+
+class TwoListModel:
+    """ActiveInactiveLRU semantics on two ListLRUModels."""
+
+    def __init__(self, inactive_ratio=0.5):
+        self.ratio = inactive_ratio
+        self.active = ListLRUModel()
+        self.inactive = ListLRUModel()
+
+    def add(self, key, value):
+        self.active.remove(key)
+        self.inactive.add(key, value)
+
+    def reference(self, key):
+        position = self.inactive.index(key)
+        if position is not None:
+            self.active.add(*self.inactive.items.pop(position))
+            return True
+        return self.active.touch(key)
+
+    def remove(self, key):
+        if self.inactive.index(key) is not None:
+            return self.inactive.remove(key)
+        return self.active.remove(key)
+
+    def get(self, key):
+        if self.inactive.index(key) is not None:
+            return self.inactive.get(key)
+        return self.active.get(key)
+
+    def scan_inactive(self, max_scan):
+        if max_scan <= 0:
+            return []
+        total = len(self.active.items) + len(self.inactive.items)
+        needed = math.ceil(total * self.ratio)
+        while len(self.inactive.items) < needed and self.active.items:
+            self.inactive.items.append(self.active.items.pop(0))
+        victims = []
+        while len(victims) < max_scan and self.inactive.items:
+            victims.append(self.inactive.items.pop(0))
+        return victims
+
+    def eviction_order(self):
+        return self.inactive.keys() + self.active.keys()
+
+
+LIST_OPS = ("add", "touch", "remove", "pop_lru", "peek_lru", "get")
+TWO_LIST_OPS = ("add", "reference", "reference_bulk", "remove", "scan_inactive", "get")
+
+
+def apply_list_op(lru, model, op, key, value):
+    if op == "add":
+        lru.add(key, value)
+        model.add(key, value)
+    elif op == "touch":
+        assert lru.touch(key) == model.touch(key)
+    elif op == "remove":
+        assert lru.remove(key) == model.remove(key)
+    elif op == "pop_lru":
+        assert lru.pop_lru() == model.pop_lru()
+    elif op == "peek_lru":
+        assert lru.peek_lru() == model.peek_lru()
+    else:
+        assert lru.get(key) == model.get(key)
+
+
+def apply_two_list_op(lru, model, op, key, value, bulk_keys):
+    if op == "add":
+        lru.add(key, value)
+        model.add(key, value)
+    elif op == "reference":
+        assert lru.reference(key) == model.reference(key)
+    elif op == "reference_bulk":
+        # Distinct keys in last-use order, possibly absent ones too.
+        lru.reference_bulk(bulk_keys)
+        for bulk_key in bulk_keys:
+            model.reference(bulk_key)
+    elif op == "remove":
+        assert lru.remove(key) == model.remove(key)
+    elif op == "scan_inactive":
+        assert lru.scan_inactive(value % 4) == model.scan_inactive(value % 4)
+    else:
+        assert lru.get(key) == model.get(key)
+
+
+def check_list_state(lru, model):
+    assert len(lru) == len(model.items)
+    assert lru.keys_lru_order() == list(lru) == model.keys()
+
+
+def check_two_list_state(lru, model):
+    assert lru.inactive_count == len(model.inactive.items)
+    assert lru.active_count == len(model.active.items)
+    assert lru.keys_eviction_order() == model.eviction_order()
+    assert list(lru.iter_eviction_order()) == model.eviction_order()
+
+
+def random_ops(rng, ops, weights, n_ops, n_keys):
+    for _ in range(n_ops):
+        op = rng.choices(ops, weights)[0]
+        bulk = list(dict.fromkeys(rng.randrange(n_keys) for _ in range(rng.randrange(6))))
+        yield op, rng.randrange(n_keys), rng.randrange(1_000), bulk
+
+
+class TestAgainstListModel:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(LIST_OPS), st.integers(0, 9), st.integers(0, 99)),
+            max_size=200,
+        )
+    )
+    def test_lru_list_short_sequences(self, operations):
+        lru, model = LRUList(), ListLRUModel()
+        for op, key, value in operations:
+            apply_list_op(lru, model, op, key, value)
+            check_list_state(lru, model)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TWO_LIST_OPS),
+                st.integers(0, 11),
+                st.integers(0, 99),
+                st.lists(st.integers(0, 13), max_size=6, unique=True),
+            ),
+            max_size=200,
+        ),
+        st.sampled_from([0.25, 0.5, 0.75]),
+    )
+    def test_two_list_short_sequences(self, operations, ratio):
+        lru, model = ActiveInactiveLRU(ratio), TwoListModel(ratio)
+        for op, key, value, bulk in operations:
+            apply_two_list_op(lru, model, op, key, value, bulk)
+            check_two_list_state(lru, model)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_lru_list_delete_heavy(self, seed):
+        rng = random.Random(seed)
+        lru, model = LRUList(), ListLRUModel()
+        weights = (4, 1, 3, 3, 1, 1)
+        for op, key, value, _ in random_ops(rng, LIST_OPS, weights, 3_000, 200):
+            apply_list_op(lru, model, op, key, value)
+        check_list_state(lru, model)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_two_list_delete_heavy(self, seed):
+        rng = random.Random(seed)
+        lru, model = ActiveInactiveLRU(), TwoListModel()
+        weights = (5, 2, 1, 3, 2, 1)
+        for op, key, value, bulk in random_ops(rng, TWO_LIST_OPS, weights, 3_000, 200):
+            apply_two_list_op(lru, model, op, key, value, bulk)
+        check_two_list_state(lru, model)

@@ -1,5 +1,7 @@
 """Tests for the page cache and its eviction policies."""
 
+import random
+
 import pytest
 
 from repro.mem.page import Page, PageFlags
@@ -79,6 +81,37 @@ class TestLazyPolicy:
         assert len(evicted) == 1
         assert evicted[0].key == (1, 1)
         assert len(cache) == 2
+
+    def test_victims_match_full_list_choice(self):
+        """The lazy victim walk picks what a scan of the materialized
+        coldest-first key list picks, through churn, in-flight pages,
+        promotions, scans and capacity evictions."""
+
+        def list_based_victim(cache, now):
+            for key in cache.lru.keys_eviction_order():
+                entry = cache.entries.get(key)
+                if entry is not None and entry.page.is_ready(now):
+                    return key
+            return None
+
+        rng = random.Random(5)
+        policy = LazyLRUPolicy()
+        cache = PageCache(policy, capacity_pages=24)
+        chosen = []
+        for now in range(0, 6_000, 10):
+            if cache.entries:
+                expected = list_based_victim(cache, now)
+                assert policy.pick_victim(cache, now) == expected
+                chosen.append(expected)
+            vpn = rng.randrange(120)
+            if (1, vpn) not in cache:
+                cache.insert(make_page(vpn, arrival=now + rng.randrange(400)), now, True)
+            elif rng.random() < 0.5:
+                cache.consume((1, vpn), now)
+            if rng.random() < 0.05:
+                cache.scan(now, max_scan=3)
+        assert len(set(chosen)) > 50
+        assert None in chosen  # some walks found every entry in flight
 
 
 class TestEagerPolicy:

@@ -50,6 +50,50 @@ class TestDispatchQueue:
         assert queue.stats.mean_queueing_delay == 500.0
         assert queue.stats.max_queueing_delay == 1_000
 
+    def test_stats_pinned_on_scripted_sequence(self):
+        # Expected values were computed by the straightforward
+        # record-per-submission implementation; the inline update in
+        # ``submit`` must reproduce them exactly.
+        queue = DispatchQueue(0)
+        timings = [
+            queue.submit(1_000, 500, 3_000),  # idle
+            queue.submit(5_000, 200, 1_000),  # idle again
+            queue.submit(5_050, 300, 0),  # 150 ns backlog
+            queue.submit(5_100, 400, 100),  # 400 ns backlog
+            queue.submit(5_100, 50, 0),  # 800 ns backlog
+        ]
+        assert [(t.submitted, t.started, t.completed) for t in timings] == [
+            (1_000, 1_000, 4_500),
+            (5_000, 5_000, 6_200),
+            (5_050, 5_200, 5_500),
+            (5_100, 5_500, 6_000),
+            (5_100, 5_900, 5_950),
+        ]
+        stats = queue.stats
+        assert stats.operations == 5
+        assert stats.total_queueing_delay == 1_350
+        assert stats.max_queueing_delay == 800
+        assert stats.peak_backlog_ns == 800
+        assert stats.mean_queueing_delay == 270.0
+        assert queue.busy_until == 5_950
+
+    def test_replicated_write_stats_pinned(self):
+        host, _ = make_host(replication=True)
+        writes = [
+            host.write_page("p", now=0, core=1),
+            host.write_page("q", now=100, core=1),  # behind p and its replica
+            host.write_page("r", now=50_000, core=2),
+        ]
+        assert [(w.submitted, w.started, w.completed) for w in writes] == [
+            (0, 0, 4_577),
+            (100, 1_970, 7_929),
+            (50_000, 50_000, 55_445),
+        ]
+        assert host.dispatch_stats() == {
+            1: {"ops": 4, "mean_delay_ns": 1427.5, "max_delay_ns": 2_855, "peak_backlog_ns": 2_855},
+            2: {"ops": 2, "mean_delay_ns": 492.5, "max_delay_ns": 985, "peak_backlog_ns": 985},
+        }
+
     @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 1_000)), max_size=100))
     def test_completions_monotone_for_monotone_submissions(self, ops):
         queue = DispatchQueue(0)

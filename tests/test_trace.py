@@ -389,6 +389,21 @@ class TestV1Hardening:
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=ext\n0\n1\n2\n")
         assert load_trace(path).total_accesses == 3
 
+    def test_negative_think_time_rejected_before_replay(self, tmp_path):
+        # The object engine would raise ClockError mid-run and the
+        # vectorized engine would finish silently; the loader must
+        # refuse the file before either engine sees it.
+        path = tmp_path / "neg.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=neg\n1\n2,t-5\n")
+        with pytest.raises(ValueError, match=r"neg\.trace:4: negative think time 't-5'"):
+            load_trace(path)
+
+    def test_negative_default_think_time_rejected(self, tmp_path):
+        path = tmp_path / "neg.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=-3 name=neg\n1\n")
+        with pytest.raises(ValueError, match="negative default think_ns=-3"):
+            load_trace(path)
+
 
 # ---------------------------------------------------------------------------
 # Replay equivalence: ColumnarTraceWorkload == RecordedWorkload,
