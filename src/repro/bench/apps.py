@@ -8,15 +8,11 @@ all four applications contending for the fabric at once.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 
 from repro.bench.prefetch import application_workloads
 from repro.bench.runner import BenchScale, run_single
 from repro.metrics.latency import summarize
-from repro.perf.artifacts import ARTIFACT_SCHEMA_VERSION, write_artifact
-from repro.perf.profile import profile_concurrent
 from repro.sim.machine import Machine, disk_config, infiniswap_config, leap_config
 from repro.workloads.powergraph import PowerGraphWorkload
 
@@ -152,7 +148,6 @@ class Fig12Cell:
 def fig12_cache_limits(
     scale: BenchScale = BenchScale(),
     cache_limits: tuple[int | None, ...] = (None, 2048, 256, 32),
-    perf_dir: str | None = None,
 ) -> list[Fig12Cell]:
     """Leap under shrinking prefetch-cache budgets (Figure 12).
 
@@ -161,15 +156,8 @@ def fig12_cache_limits(
     are expressed in pages.  The expected result is Leap's: because
     prefetched pages are consumed and eagerly freed quickly, even a
     cache of tens of pages costs only ~12% performance.
-
-    Each single-app run has a core to itself; with
-    *perf_dir* (or ``$REPRO_PERF_DIR``) set, each run's per-app latency
-    percentiles land in a ``BENCH_fig12.json`` artifact.
     """
-    perf_dir = perf_dir if perf_dir is not None else os.environ.get("REPRO_PERF_DIR")
     cells = []
-    perf_apps: dict[str, dict] = {}
-    started = time.perf_counter()
     for app_name in ("powergraph", "numpy", "voltdb", "memcached"):
         for limit in cache_limits:
             config = leap_config(seed=scale.seed, cache_capacity_pages=limit)
@@ -188,23 +176,6 @@ def fig12_cache_limits(
                     throughput_kops=throughput,
                 )
             )
-            if perf_dir:
-                row_name = f"{app_name}@{'inf' if limit is None else limit}"
-                perf_apps.update(
-                    profile_concurrent(result, {1: row_name}, bench="fig12")["apps"]
-                )
-    if perf_dir:
-        write_artifact(
-            {
-                "schema": ARTIFACT_SCHEMA_VERSION,
-                "bench": "fig12",
-                "engine": "concurrent",
-                "config": {"seed": scale.seed, "cores": 1},
-                "apps": perf_apps,
-                "wall_clock_s": round(time.perf_counter() - started, 3),
-            },
-            perf_dir,
-        )
     return cells
 
 
@@ -221,7 +192,6 @@ class Fig13Cell:
 def fig13_concurrent_applications(
     scale: BenchScale = BenchScale(),
     cores: int = 4,
-    perf_dir: str | None = None,
 ) -> list[Fig13Cell]:
     """All four applications sharing one host and fabric (Figure 13).
 
@@ -229,14 +199,10 @@ def fig13_concurrent_applications(
     the event-driven concurrent engine interleaves them, so they
     contend for cores and the RDMA dispatch queues and — on the default
     path — confuse each other's shared readahead state, while Leap's
-    per-(process, core) trackers stay isolated.
-
-    With *perf_dir* (or ``$REPRO_PERF_DIR``) set, each system's run
-    emits a ``BENCH_fig13_<system>.json`` latency artifact.
+    per-(process, core) trackers stay isolated.  ``repro perf
+    --profile fig13`` runs the Leap half of this at CI scale.
     """
-    perf_dir = perf_dir if perf_dir is not None else os.environ.get("REPRO_PERF_DIR")
     pids = {"powergraph": 1, "numpy": 2, "voltdb": 3, "memcached": 4}
-    names = {pid: name for name, pid in pids.items()}
     cells = []
     for system_name, config_fn in (
         ("d-vmm", lambda: infiniswap_config(seed=scale.seed)),
@@ -247,21 +213,7 @@ def fig13_concurrent_applications(
             pids[name]: workload
             for name, workload in application_workloads(scale).items()
         }
-        started = time.perf_counter()
         result = machine.run_concurrent(workloads, cores=cores, memory_fraction=0.5)
-        wall_clock_s = time.perf_counter() - started
-        if perf_dir:
-            slug = system_name.replace("+", "_").replace("-", "")
-            write_artifact(
-                profile_concurrent(
-                    result,
-                    names,
-                    bench=f"fig13_{slug}",
-                    config={"seed": scale.seed, "cores": cores, "system": system_name},
-                    wall_clock_s=wall_clock_s,
-                ),
-                perf_dir,
-            )
         for name, pid in pids.items():
             cells.append(
                 Fig13Cell(

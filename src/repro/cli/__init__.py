@@ -6,9 +6,6 @@ command group:
 * ``compare`` / ``run`` / ``figures`` (:mod:`repro.cli.figures`) — the
   quickstart D-VMM-vs-Leap comparison, one workload on one
   configuration, and the paper-figure benchmark listing;
-* ``concurrent`` / ``cluster`` (:mod:`repro.cli.cluster`) — several
-  workloads at once through the multi-core engine, optionally against
-  a multi-server memory cluster with mid-run server crashes;
 * ``scenario`` (:mod:`repro.cli.scenario`) — the multi-tenant scenario
   engine: ``list`` the named traffic mixes, ``run`` one, or ``sweep``
   a {cores × servers × prefetchers} grid;
@@ -26,11 +23,11 @@ command group:
   into the columnar v2 container, ``replay`` a trace through either
   burst engine, ``analyze`` it with the vectorized kernel
   (reuse-distance/stride/region artifact), ``convert`` v1 ↔ v2;
-* ``perf`` — the CI perf gate: emit a scaled-down profile artifact
-  (``fig13``, ``cluster``, ``scenarios``, ``control``, or ``trace``)
-  and compare it against a committed baseline;
+* ``perf`` — the CI perf gate: emit a profile artifact (any name in
+  :data:`repro.perf.profile.PROFILES`) and compare it against its
+  committed baseline;
 * ``obs`` (:mod:`repro.cli.obs`) — deterministic run tracing:
-  ``record`` a traced fig13/scenario run (byte-identical payloads to
+  ``record`` a traced profile/scenario run (byte-identical payloads to
   untraced runs), ``export`` to Perfetto JSON or columnar ``.npz``,
   ``top`` for per-stage fault-time attribution, ``timeline`` for the
   raw event stream, ``diff`` for stage-level deltas;
@@ -49,7 +46,6 @@ import argparse
 import sys
 
 from repro.cli import check as _check
-from repro.cli import cluster as _cluster
 from repro.cli import control as _control
 from repro.cli import figures as _figures
 from repro.cli import obs as _obs
@@ -69,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _figures.add_parsers(sub)
-    _cluster.add_parsers(sub)
     _scenario.add_parsers(sub)
     _control.add_parsers(sub)
     _service.add_parsers(sub)
@@ -81,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="emit/gate a perf artifact (fig13, cluster, scenarios, control, or trace)",
+        help="emit/gate a perf profile artifact (see --profile)",
     )
     add_perf_arguments(perf)
     perf.set_defaults(handler=perf_run)

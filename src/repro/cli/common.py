@@ -27,7 +27,6 @@ __all__ = [
     "SYSTEMS",
     "WORKLOADS",
     "add_workload_args",
-    "build_named_workloads",
     "int_list",
     "make_workload",
 ]
@@ -93,17 +92,3 @@ def make_workload(args) -> Workload:
         kwargs["stride"] = args.stride
     return cls(**kwargs)
 
-
-def build_named_workloads(args) -> tuple[dict[int, Workload], dict[int, str]]:
-    """One process per requested workload name (repeats allowed)."""
-    workloads: dict[int, Workload] = {}
-    names: dict[int, str] = {}
-    for index, name in enumerate(args.workloads):
-        pid = index + 1
-        workloads[pid] = WORKLOADS[name](
-            wss_pages=args.wss_pages,
-            total_accesses=args.accesses,
-            seed=args.seed + index,
-        )
-        names[pid] = f"{name}#{pid}"
-    return workloads, names

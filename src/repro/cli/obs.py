@@ -21,13 +21,11 @@ import time
 from pathlib import Path
 
 from repro.metrics.report import format_table
+from repro.perf.profile import PROFILES, run_profile
 from repro.provenance import canonical_json
 from repro.sim.machine import ENGINES
 
 __all__ = ["add_parsers"]
-
-#: Recordable fig13 profile targets (anything else is a scenario name).
-FIG13_TARGET = "fig13"
 
 
 def add_parsers(sub) -> None:
@@ -42,21 +40,15 @@ def add_parsers(sub) -> None:
     )
     record.add_argument(
         "target",
-        help=f"'{FIG13_TARGET}' (the perf-gate mix) or a scenario name "
-        "from `repro scenario list`",
-    )
-    record.add_argument(
-        "--tier",
-        choices=["smoke", "scale"],
-        default="smoke",
-        help="fig13 only: smoke is CI-sized, scale runs FIG13_SCALE_TIER",
+        help="a traceable perf profile (fig13, fig13_scale) or a "
+        "scenario name from `repro scenario list`",
     )
     record.add_argument(
         "--engine",
         choices=ENGINES,
         default=None,
-        help="fig13 burst engine (default: object for smoke, vectorized "
-        "for scale); traces and payloads are identical either way",
+        help="profile burst engine (default: the profile's own); traces "
+        "and payloads are identical either way",
     )
     record.add_argument("--seed", type=int, default=42)
     record.add_argument("--cores", type=int, default=4)
@@ -159,37 +151,26 @@ def _load(path: str) -> dict:
         return load_recording(json.load(handle))
 
 
-def _record_fig13(args: argparse.Namespace, observer):
-    """Run the fig13 profile (traced when *observer* is set).
+def _record_profile(args: argparse.Namespace, observer):
+    """Run a perf profile (traced when *observer* is set).
 
     Returns ``(payload, spec, engine, wall_clock_s)`` — the payload is
     the perf artifact with its host-dependent ``wall_clock_s`` removed,
     so traced/untraced payloads can be compared byte-for-byte.
     """
-    from repro.perf.profile import fig13_profile, fig13_scale_profile
-
-    if args.tier == "scale":
-        if args.wss_pages is not None or args.accesses is not None:
-            raise ValueError(
-                "--wss-pages/--accesses apply to the smoke tier only; "
-                "the scale tier is pinned to FIG13_SCALE_TIER"
-            )
-        engine = args.engine or "vectorized"
-        artifact, _ = fig13_scale_profile(
-            seed=args.seed, cores=args.cores, engine=engine, observer=observer
-        )
-    else:
-        engine = args.engine or "object"
-        scale = {}
-        if args.wss_pages is not None:
-            scale["wss_pages"] = args.wss_pages
-        if args.accesses is not None:
-            scale["accesses"] = args.accesses
-        artifact, _ = fig13_profile(
-            seed=args.seed, cores=args.cores, engine=engine, observer=observer, **scale
-        )
+    artifact, _ = run_profile(
+        args.target,
+        seed=args.seed,
+        cores=args.cores,
+        wss_pages=args.wss_pages,
+        accesses=args.accesses,
+        servers=args.servers or None,
+        engine=args.engine,
+        observer=observer,
+    )
     wall_clock_s = artifact.pop("wall_clock_s", None)
-    return artifact, dict(artifact["config"]), engine, wall_clock_s
+    config = dict(artifact["config"])
+    return artifact, config, config["engine_impl"], wall_clock_s
 
 
 def _record_scenario(args: argparse.Namespace, observer):
@@ -215,12 +196,9 @@ def _record(args: argparse.Namespace) -> int:
     from repro.obs import RunRecorder, attribution_rows
     from repro.sim.units import ms
 
-    runner = _record_fig13 if args.target == FIG13_TARGET else _record_scenario
-    if args.target != FIG13_TARGET and args.tier != "smoke":
-        print("error: --tier applies to the fig13 target only", file=sys.stderr)
-        return 2
-    if args.target != FIG13_TARGET and args.engine is not None:
-        print("error: --engine applies to the fig13 target only", file=sys.stderr)
+    runner = _record_profile if args.target in PROFILES else _record_scenario
+    if runner is _record_scenario and args.engine is not None:
+        print("error: --engine applies to profile targets only", file=sys.stderr)
         return 2
     recorder = RunRecorder(epoch_ns=ms(args.epoch_ms))
     try:

@@ -7,7 +7,7 @@ queue pairs, fabric profiles, and page contents — governed by a
 recovery, fronted by the :class:`ClusterHostAgent`.
 
 Entry points: ``cluster_config()`` + ``Machine.run_cluster`` for
-simulation, ``repro cluster`` on the CLI, and
+simulation, ``repro scenario run`` (with ``--servers``) on the CLI, and
 ``repro perf --profile cluster`` for the CI-gated perf artifact.
 """
 

@@ -1,12 +1,13 @@
 """Performance artifacts and the CI perf gate.
 
-Every serious run of the concurrent engine can leave a machine-readable
-trace of how fast it was: a ``BENCH_<name>.json`` artifact with
-p50/p95/p99 fault latency, completion time, and fault counts per
-application, plus the host wall-clock of the run.  CI runs a
-scaled-down Figure 13 profile on every push and compares it against the
-committed baseline (``BENCH_fig13_baseline.json``); a regression past
-the budget in ``PERF_BUDGETS.md`` fails the build.
+Every measured run is a named profile (:data:`PROFILES`, run by
+:func:`run_profile`) that leaves a machine-readable trace of how fast
+it was: a ``BENCH_<name>.json`` artifact with p50/p95/p99 fault
+latency, completion time, and fault counts per application, plus the
+host wall-clock of the run.  CI runs every profile at its scaled-down
+defaults on every push and compares it against the committed
+``BENCH_<name>_baseline.json``; a regression past the budget in
+``PERF_BUDGETS.md`` fails the build.
 
 Two kinds of numbers live in an artifact, with different stability:
 
@@ -28,30 +29,26 @@ from repro.perf.artifacts import (
 )
 from repro.perf.profile import (
     CONTROL_PROFILE_SCENARIO,
+    PROFILES,
     SCENARIO_PROFILE_NAMES,
-    cluster_profile,
-    control_profile,
-    fig13_profile,
     percentiles_us,
     profile_cluster,
     profile_concurrent,
-    scenarios_profile,
+    run_profile,
 )
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "CONTROL_PROFILE_SCENARIO",
     "GateViolation",
+    "PROFILES",
     "SCENARIO_PROFILE_NAMES",
     "artifact_path",
-    "cluster_profile",
     "compare_artifacts",
-    "control_profile",
-    "fig13_profile",
     "load_artifact",
     "percentiles_us",
     "profile_cluster",
     "profile_concurrent",
-    "scenarios_profile",
+    "run_profile",
     "write_artifact",
 ]

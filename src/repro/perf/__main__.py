@@ -1,15 +1,14 @@
 """CI perf-gate entry point: ``python -m repro.perf``.
 
-Runs a scaled-down profile through the concurrent engine — the Figure
-13 mix (``--profile fig13``, the default), the multi-server memory
-cluster (``--profile cluster``), the multi-tenant scenario set
-(``--profile scenarios``), the governed-vs-static control-plane A/B
-(``--profile control``), or the million-access columnar-trace
-lifecycle (``--profile trace``: capture → mmap replay → vectorized
-analyze) — writes ``BENCH_<profile>.json``, and
-— when ``--baseline`` is given — fails (exit 1) if any gated metric
-regressed past the budget.  See PERF_BUDGETS.md for the budgets and
-the waiver policy.
+Runs one profile from :data:`repro.perf.profile.PROFILES` — the Figure
+13 mix (``--profile fig13``, the default), its burst-engine scale tier
+(``fig13_scale``), the multi-server memory cluster (``cluster``), the
+multi-tenant scenario set (``scenarios``), the governed-vs-static
+control-plane A/B (``control``), or the million-access columnar-trace
+lifecycle (``trace``: capture → mmap replay → vectorized analyze) —
+writes ``BENCH_<profile>.json``, and — when ``--baseline`` is given —
+fails (exit 1) if any gated metric regressed past the budget.  See
+PERF_BUDGETS.md for the budgets and the waiver policy.
 
 ``python -m repro.perf compare <old.json> <new.json>`` (also reachable
 as ``repro perf compare``) prints per-section deltas between two
@@ -28,18 +27,8 @@ from repro.perf.artifacts import (
     load_artifact,
     write_artifact,
 )
-from repro.perf.profile import (
-    cluster_profile,
-    control_profile,
-    fig13_profile,
-    fig13_scale_profile,
-    scenarios_profile,
-    trace_profile,
-)
+from repro.perf.profile import PROFILES, run_profile
 from repro.sim.machine import ENGINES
-
-PROFILES = ("fig13", "cluster", "scenarios", "control", "trace")
-TIERS = ("smoke", "scale")
 
 
 def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,7 +39,7 @@ def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument(
         "--profile",
-        choices=PROFILES,
+        choices=list(PROFILES),
         default="fig13",
         help="which profile to run (default fig13)",
     )
@@ -63,21 +52,12 @@ def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
         help="allowed relative regression per gated metric (default 0.20)",
     )
     parser.add_argument(
-        "--tier",
-        choices=TIERS,
-        default="smoke",
-        help="fig13 only: 'smoke' is the CI-sized run, 'scale' runs the "
-        "pinned FIG13_SCALE_TIER mix (ignores --wss-pages/--accesses; "
-        "see PERF_BUDGETS.md)",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         default=None,
-        help="burst engine for the fig13 and trace profiles (default: "
-        "the profile's own default — object for fig13 smoke, "
-        "vectorized for fig13 scale and trace); simulated metrics are "
-        "identical either way",
+        help="burst engine for the fig13, fig13_scale and trace profiles "
+        "(default: object for fig13, vectorized for the others); "
+        "simulated metrics are identical either way",
     )
     parser.add_argument(
         "--max-wall-clock",
@@ -87,15 +67,27 @@ def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
         help="fail (exit 1) if the run's wall_clock_s exceeds this "
         "budget; opt-in because wall clock is host-dependent",
     )
-    parser.add_argument("--wss-pages", type=int, default=2048)
-    parser.add_argument("--accesses", type=int, default=8000)
-    parser.add_argument("--cores", type=int, default=4)
+    parser.add_argument(
+        "--wss-pages",
+        type=int,
+        default=None,
+        help="per-app working-set pages (default 2048; scenarios run at "
+        "half, control at a quarter; fig13_scale and trace pin their own)",
+    )
+    parser.add_argument(
+        "--accesses",
+        type=int,
+        default=None,
+        help="accesses per app (default 8000; scenarios run at half, "
+        "control at three quarters; fig13_scale and trace pin their own)",
+    )
+    parser.add_argument("--cores", type=int, default=None, help="simulated cores (default 4)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--servers",
         type=int,
-        default=4,
-        help="memory servers (cluster profile only)",
+        default=None,
+        help="memory servers, cluster and scenarios profiles (default 4)",
     )
     sub = parser.add_subparsers(dest="perf_command")
     compare = sub.add_parser(
@@ -235,82 +227,22 @@ def run_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profile(args: argparse.Namespace) -> dict:
-    if args.profile not in ("fig13", "trace"):
-        if getattr(args, "engine", None) is not None:
-            raise SystemExit(
-                f"error: --engine applies to the fig13 and trace profiles "
-                f"only, not --profile {args.profile}"
-            )
-    if args.profile != "fig13":
-        if getattr(args, "tier", "smoke") != "smoke":
-            raise SystemExit(
-                f"error: --tier scale applies to --profile fig13 only, "
-                f"not --profile {args.profile}"
-            )
-    if args.profile == "trace":
-        # The trace profile pins its own tier (TRACE_PROFILE_TIER);
-        # --wss-pages/--accesses/--cores do not apply.
-        artifact, _ = trace_profile(
-            seed=args.seed,
-            engine=args.engine or "vectorized",
-        )
-        return artifact
-    if args.profile == "control":
-        # One scenario, but 1 governed + N static arms: quarter the
-        # shared scale so the A/B stays smoke-sized.
-        artifact, _ = control_profile(
-            wss_pages=args.wss_pages // 4,
-            accesses=(3 * args.accesses) // 4,
-            seed=args.seed,
-            cores=args.cores,
-        )
-        return artifact
-    if args.profile == "scenarios":
-        # The scenario set runs 3 multi-tenant mixes; halve the
-        # per-run scale relative to the single-mix profiles so the
-        # smoke job stays a smoke job.
-        artifact, _ = scenarios_profile(
-            wss_pages=args.wss_pages // 2,
-            accesses=args.accesses // 2,
-            seed=args.seed,
-            cores=args.cores,
-            servers=args.servers,
-        )
-        return artifact
-    if args.profile == "cluster":
-        artifact, _ = cluster_profile(
-            wss_pages=args.wss_pages,
-            accesses=args.accesses,
-            seed=args.seed,
-            cores=args.cores,
-            servers=args.servers,
-        )
-        return artifact
-    if getattr(args, "tier", "smoke") == "scale":
-        # The scale tier pins its own working-set/access mix (see
-        # FIG13_SCALE_TIER); --wss-pages/--accesses do not apply.
-        artifact, _ = fig13_scale_profile(
-            seed=args.seed,
-            cores=args.cores,
-            engine=args.engine or "vectorized",
-        )
-        return artifact
-    artifact, _ = fig13_profile(
-        wss_pages=args.wss_pages,
-        accesses=args.accesses,
-        seed=args.seed,
-        cores=args.cores,
-        engine=args.engine or "object",
-    )
-    return artifact
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute the perf profile + gate (or compare) for a namespace."""
     if getattr(args, "perf_command", None) == "compare":
         return run_compare(args)
-    artifact = _run_profile(args)
+    try:
+        artifact, _ = run_profile(
+            args.profile,
+            seed=args.seed,
+            cores=args.cores,
+            wss_pages=args.wss_pages,
+            accesses=args.accesses,
+            servers=args.servers,
+            engine=args.engine,
+        )
+    except ValueError as error:
+        raise SystemExit(f"error: {error}") from None
     path = write_artifact(artifact, args.out)
     print(f"wrote {path}")
     for name, row in sorted(artifact["apps"].items()):

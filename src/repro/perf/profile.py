@@ -1,19 +1,35 @@
-"""Profiling entry points: turn a concurrent run into a perf artifact.
+"""Profiling entry points: build, run, time and reduce a measured run.
 
-``fig13_profile`` is what CI's perf gate runs: the four paper
-applications on the Leap stack through the concurrent engine, at a
-scale small enough for a smoke job, reduced to per-app p50/p95/p99
-fault latencies, completion times, and fault counts.
+Every measured run this repository turns into a ``BENCH_<name>.json``
+artifact is built from one table.  :data:`PROFILES` maps each profile
+name — which is also its artifact's ``bench`` name and its committed
+baseline's file stem — to the builder that runs it, and
+:func:`run_profile` is the one way in for ``repro perf`` and
+``repro obs record``:
 
-``cluster_profile`` is the cluster gate's twin: the same four
-applications over a heterogeneous multi-server memory cluster, with
-per-*server* p50/p95/p99 read latency, utilization, and QP contention
-added to the artifact (and, when a failure is injected, the recovery
-accounting).
+* ``fig13`` — the four paper applications on the Leap stack through the
+  concurrent engine, at a scale small enough for a smoke job, reduced
+  to per-app p50/p95/p99 fault latencies, completion times, and fault
+  counts;
+* ``fig13_scale`` — four hot-set tenants at ``FIG13_SCALE_TIER``, the
+  burst engines' wall-clock yardstick;
+* ``cluster`` — the fig13 mix over a heterogeneous multi-server memory
+  cluster, with per-*server* p50/p95/p99 read latency, utilization,
+  QP contention, and recovery accounting added;
+* ``scenarios`` — the gated multi-tenant scenario set;
+* ``control`` — the governed-vs-static control-plane A/B;
+* ``trace`` — a million-access trace captured, replayed, and analyzed.
+
+The single-machine profiles (``fig13``, ``fig13_scale``, ``cluster``,
+``trace``) share one copy of the wiring, :func:`_measure`.  Builders
+import the machine, workload, trace and scenario stacks lazily, so
+importing this module (the repository benchmark does, at start-up, for
+its tier constants) stays cheap.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from typing import Mapping
 
@@ -22,17 +38,14 @@ from repro.perf.artifacts import ARTIFACT_SCHEMA_VERSION
 from repro.sim.run import RunResult
 
 __all__ = [
+    "PROFILES",
     "percentiles_us",
     "profile_concurrent",
     "profile_cluster",
-    "fig13_profile",
-    "fig13_scale_profile",
-    "cluster_profile",
-    "scenarios_profile",
-    "control_profile",
-    "trace_profile",
+    "run_profile",
     "SCENARIO_PROFILE_NAMES",
     "CONTROL_PROFILE_SCENARIO",
+    "FIG13_SCALE_TIER",
     "TRACE_PROFILE_TIER",
 ]
 
@@ -44,6 +57,18 @@ SCENARIO_PROFILE_NAMES = ("web-tier-zipf", "noisy-neighbor", "failover-under-loa
 
 #: The governed scenario the control-plane gate A/Bs against statics.
 CONTROL_PROFILE_SCENARIO = "phase-shift-governed"
+
+#: Each application's cgroup limit in the fig13 and cluster mixes, as a
+#: fraction of its working set (the paper's §5.3 50% setting).
+APP_MEMORY_FRACTION = 0.5
+
+#: The cluster profile's per-server queue pairs and the seeded spread
+#: of per-server fabric medians (see ``cluster_config``).
+CLUSTER_SERVER_QPS = 2
+CLUSTER_LATENCY_SPREAD = 0.15
+
+#: Address-space regions the trace profile's analyzer reports.
+TRACE_REGIONS = 8
 
 
 def percentiles_us(samples: list[int]) -> dict[str, float]:
@@ -143,67 +168,113 @@ def profile_cluster(
     return artifact
 
 
-def fig13_profile(
-    wss_pages: int = 2048,
-    accesses: int = 8000,
+def _measure(
+    bench: str,
+    machine_config,
+    workloads: Mapping[str, object],
+    config: dict,
+    *,
+    run=None,
+    reduce=profile_concurrent,
+    observer=None,
+    **options,
+) -> tuple[dict, RunResult]:
+    """Run named *workloads* on one machine; return (artifact, result).
+
+    The one copy of the single-machine wiring: build the machine from
+    *machine_config*, number the workloads as pids 1..N in order,
+    attach *observer* (a :class:`repro.obs.RunRecorder`; tracing and
+    epoch sampling never change a simulated number) when given, time
+    ``run(machine, workloads, **options)`` — by default
+    :meth:`~repro.sim.machine.Machine.run_concurrent` — and reduce the
+    result with *reduce* into a ``bench`` artifact carrying *config*.
+    """
+    from repro.sim.machine import Machine
+
+    machine = Machine(machine_config)
+    names = dict(enumerate(workloads, start=1))
+    if observer is not None:
+        observer.attach(machine)
+        options.update(epoch_ns=observer.epoch_ns, on_epoch=observer.on_epoch)
+    started = time.perf_counter()
+    result = (run or Machine.run_concurrent)(
+        machine, {pid: workloads[name] for pid, name in names.items()}, **options
+    )
+    wall_clock_s = time.perf_counter() - started
+    artifact = reduce(result, names, bench=bench, config=config, wall_clock_s=wall_clock_s)
+    return artifact, result
+
+
+def _leap_mix(
+    bench: str,
+    workloads: Mapping[str, object],
+    *,
+    seed: int,
+    cores: int,
+    wss_pages: int,
+    accesses: int,
+    memory_fraction: float,
+    engine: str,
+    observer,
+) -> tuple[dict, RunResult]:
+    """A multi-tenant mix on the Leap stack's concurrent engine."""
+    from repro.sim.machine import leap_config
+
+    config = {
+        "seed": seed,
+        "cores": cores,
+        "wss_pages": wss_pages,
+        "accesses": accesses,
+        "memory_fraction": memory_fraction,
+        "engine_impl": engine,
+        "system": "d-vmm+leap",
+    }
+    return _measure(
+        bench,
+        leap_config(seed=seed, engine=engine),
+        workloads,
+        config,
+        observer=observer,
+        cores=cores,
+        memory_fraction=memory_fraction,
+    )
+
+
+def _fig13(
     seed: int = 42,
     cores: int = 4,
-    memory_fraction: float = 0.5,
+    wss_pages: int = 2048,
+    accesses: int = 8000,
     engine: str = "object",
     observer=None,
 ) -> tuple[dict, RunResult]:
-    """Run the Figure 13 mix on the Leap stack; return (artifact, result).
+    """The Figure 13 mix on the Leap stack.
 
     The defaults are the CI smoke scale — a few seconds of wall clock —
     not the full benchmark scale used by ``benchmarks/``.  *engine*
     selects the burst engine (``object``/``vectorized``); every
     simulated metric in the artifact is byte-identical either way (see
-    docs/kernel.md), only ``wall_clock_s`` differs.  *observer* is an
-    optional :class:`repro.obs.RunRecorder` — attaching it enables
-    tracing and epoch sampling without changing any simulated number.
+    docs/kernel.md), only ``wall_clock_s`` differs.
     """
-    # Imported here so `repro.perf` stays importable without dragging
-    # the whole workload/bench stack in at module load.
-    from repro.bench.runner import BenchScale
     from repro.bench.prefetch import application_workloads
-    from repro.sim.machine import Machine, leap_config
+    from repro.bench.runner import BenchScale
 
     scale = BenchScale(wss_pages=wss_pages, accesses=accesses, seed=seed)
-    machine = Machine(leap_config(seed=seed, engine=engine))
-    pids = {"powergraph": 1, "numpy": 2, "voltdb": 3, "memcached": 4}
-    workloads = {
-        pids[name]: workload
-        for name, workload in application_workloads(scale).items()
-    }
-    run_kwargs: dict = {}
-    if observer is not None:
-        observer.attach(machine)
-        run_kwargs = {"epoch_ns": observer.epoch_ns, "on_epoch": observer.on_epoch}
-    started = time.perf_counter()
-    result = machine.run_concurrent(
-        workloads, cores=cores, memory_fraction=memory_fraction, **run_kwargs
+    return _leap_mix(
+        "fig13",
+        application_workloads(scale),
+        seed=seed,
+        cores=cores,
+        wss_pages=wss_pages,
+        accesses=accesses,
+        memory_fraction=APP_MEMORY_FRACTION,
+        engine=engine,
+        observer=observer,
     )
-    wall_clock_s = time.perf_counter() - started
-    artifact = profile_concurrent(
-        result,
-        {pid: name for name, pid in pids.items()},
-        bench="fig13",
-        config={
-            "seed": seed,
-            "cores": cores,
-            "wss_pages": wss_pages,
-            "accesses": accesses,
-            "memory_fraction": memory_fraction,
-            "engine_impl": engine,
-            "system": "d-vmm+leap",
-        },
-        wall_clock_s=wall_clock_s,
-    )
-    return artifact, result
 
 
 #: The fig13 *scale* tier: big enough that the burst engine's hot loop
-#: dominates wall clock, resident enough (0.9 memory fraction, hot-set
+#: dominates wall clock, resident enough (0.95 memory fraction, hot-set
 #: workloads) that whole-burst classification has runs to vectorize —
 #: the regime the paper's Figure 11 memory-fraction axis calls the
 #: common case.  See PERF_BUDGETS.md for the wall-clock budget.
@@ -214,13 +285,13 @@ FIG13_SCALE_TIER = {
 }
 
 
-def fig13_scale_profile(
+def _fig13_scale(
     seed: int = 42,
     cores: int = 4,
     engine: str = "vectorized",
     observer=None,
 ) -> tuple[dict, RunResult]:
-    """Run the fig13 *scale tier*; return (artifact, result).
+    """The fig13 *scale tier*: the burst engines' yardstick.
 
     Four hot-set tenants (two zipfian skews, a permutation loop, and a
     zipfian→permloop phase shift) at ``FIG13_SCALE_TIER`` scale on the
@@ -230,15 +301,13 @@ def fig13_scale_profile(
     them like any profile, while ``wall_clock_s`` records the engine's
     speed and can be budgeted with ``--max-wall-clock``.
     """
-    from repro.sim.machine import Machine, leap_config
     from repro.workloads.patterns import ZipfianWorkload
     from repro.workloads.phased import PhasedWorkload
 
     wss_pages = FIG13_SCALE_TIER["wss_pages"]
     accesses = FIG13_SCALE_TIER["accesses"]
-    memory_fraction = FIG13_SCALE_TIER["memory_fraction"]
     loop_pages = int(wss_pages * 0.8)
-    workload_by_name = {
+    workloads = {
         "zipf-hot": ZipfianWorkload(wss_pages, accesses, skew=1.3, seed=seed),
         "zipf-tail": ZipfianWorkload(wss_pages, accesses, skew=1.15, seed=seed + 1),
         "permloop": PhasedWorkload(
@@ -257,34 +326,63 @@ def fig13_scale_profile(
             seed=seed + 3,
         ),
     }
-    machine = Machine(leap_config(seed=seed, engine=engine))
-    pids = {name: pid for pid, name in enumerate(workload_by_name, start=1)}
-    workloads = {pids[name]: wl for name, wl in workload_by_name.items()}
-    run_kwargs: dict = {}
-    if observer is not None:
-        observer.attach(machine)
-        run_kwargs = {"epoch_ns": observer.epoch_ns, "on_epoch": observer.on_epoch}
-    started = time.perf_counter()
-    result = machine.run_concurrent(
-        workloads, cores=cores, memory_fraction=memory_fraction, **run_kwargs
+    return _leap_mix(
+        "fig13_scale",
+        workloads,
+        seed=seed,
+        cores=cores,
+        wss_pages=wss_pages,
+        accesses=accesses,
+        memory_fraction=FIG13_SCALE_TIER["memory_fraction"],
+        engine=engine,
+        observer=observer,
     )
-    wall_clock_s = time.perf_counter() - started
-    artifact = profile_concurrent(
-        result,
-        {pid: name for name, pid in pids.items()},
-        bench="fig13_scale",
-        config={
-            "seed": seed,
-            "cores": cores,
-            "wss_pages": wss_pages,
-            "accesses": accesses,
-            "memory_fraction": memory_fraction,
-            "engine_impl": engine,
-            "system": "d-vmm+leap",
-        },
-        wall_clock_s=wall_clock_s,
+
+
+def _cluster(
+    seed: int = 42,
+    cores: int = 4,
+    wss_pages: int = 2048,
+    accesses: int = 8000,
+    servers: int = 4,
+) -> tuple[dict, RunResult]:
+    """The fig13 mix over a *servers*-node memory cluster, failure-free.
+
+    Failure-free keeps the baseline stable; the ``scenarios`` profile's
+    ``failover-under-load`` drill gates the crash-and-recover path.
+    """
+    from repro.bench.prefetch import application_workloads
+    from repro.bench.runner import BenchScale
+    from repro.sim.machine import Machine, cluster_config
+
+    scale = BenchScale(wss_pages=wss_pages, accesses=accesses, seed=seed)
+    machine_config = cluster_config(
+        seed=seed,
+        remote_machines=servers,
+        server_qps=CLUSTER_SERVER_QPS,
+        server_latency_spread=CLUSTER_LATENCY_SPREAD,
     )
-    return artifact, result
+    config = {
+        "seed": seed,
+        "cores": cores,
+        "servers": servers,
+        "server_qps": CLUSTER_SERVER_QPS,
+        "latency_spread": CLUSTER_LATENCY_SPREAD,
+        "wss_pages": wss_pages,
+        "accesses": accesses,
+        "memory_fraction": APP_MEMORY_FRACTION,
+        "system": "d-vmm+leap+cluster",
+    }
+    return _measure(
+        "cluster",
+        machine_config,
+        application_workloads(scale),
+        config,
+        run=Machine.run_cluster,
+        reduce=profile_cluster,
+        cores=cores,
+        memory_fraction=APP_MEMORY_FRACTION,
+    )
 
 
 #: The trace-profile tier: a million-access KV-cache paging trace —
@@ -303,11 +401,7 @@ TRACE_PROFILE_TIER = {
 }
 
 
-def trace_profile(
-    seed: int = 42,
-    engine: str = "vectorized",
-    regions: int = 8,
-) -> tuple[dict, RunResult]:
+def _trace(seed: int = 42, engine: str = "vectorized") -> tuple[dict, RunResult]:
     """Capture, replay, and analyze a million-access trace end to end.
 
     The full trace lifecycle at ``TRACE_PROFILE_TIER`` scale: generate
@@ -324,7 +418,7 @@ def trace_profile(
     import tempfile
     from pathlib import Path
 
-    from repro.sim.machine import Machine, leap_config
+    from repro.sim.machine import leap_config
     from repro.sim.simulate import simulate
     from repro.trace.analyze import analyze_columns
     from repro.trace.capture import capture_workload
@@ -340,6 +434,13 @@ def trace_profile(
         append_pages=tier["append_pages"],
         lookups_per_append=tier["lookups_per_append"],
     )
+    config = {
+        "seed": seed,
+        "engine_impl": engine,
+        "regions": TRACE_REGIONS,
+        "system": "d-vmm+leap",
+        **tier,
+    }
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
         path = Path(tmp) / "kvcache.rtrace"
@@ -347,9 +448,13 @@ def trace_profile(
         captured = time.perf_counter()
         trace = open_trace_v2(path)
         opened = time.perf_counter()
-        machine = Machine(leap_config(seed=seed, engine=engine))
-        result = simulate(
-            machine, {1: trace}, memory_fraction=tier["memory_fraction"]
+        artifact, result = _measure(
+            "trace",
+            leap_config(seed=seed, engine=engine),
+            {"kvcache-replay": trace},
+            config,
+            run=simulate,
+            memory_fraction=tier["memory_fraction"],
         )
         replayed = time.perf_counter()
         vpn, is_write, think_ns = trace.columns()
@@ -359,115 +464,27 @@ def trace_profile(
             think_ns,
             wss_pages=trace.wss_pages,
             name=trace.name,
-            regions=regions,
+            regions=TRACE_REGIONS,
         )
     finished = time.perf_counter()
-    artifact = profile_concurrent(
-        result,
-        {1: "kvcache-replay"},
-        bench="trace",
-        config={
-            "seed": seed,
-            "engine_impl": engine,
-            "regions": regions,
-            "system": "d-vmm+leap",
-            "stage_wall_s": {
-                "capture": round(captured - started, 3),
-                "open": round(opened - captured, 4),
-                "replay": round(replayed - opened, 3),
-                "analyze": round(finished - replayed, 3),
-            },
-            **tier,
-        },
-        wall_clock_s=finished - started,
-    )
+    artifact["config"]["stage_wall_s"] = {
+        "capture": round(captured - started, 3),
+        "open": round(opened - captured, 4),
+        "replay": round(replayed - opened, 3),
+        "analyze": round(finished - replayed, 3),
+    }
+    artifact["wall_clock_s"] = round(finished - started, 3)
     artifact["engine"] = "trace"
     artifact["apps"].update(analysis["apps"])
     return artifact, result
 
 
-def cluster_profile(
-    wss_pages: int = 2048,
-    accesses: int = 8000,
+def _scenarios(
     seed: int = 42,
     cores: int = 4,
+    wss_pages: int = 2048,
+    accesses: int = 8000,
     servers: int = 4,
-    memory_fraction: float = 0.5,
-    server_qps: int = 2,
-    latency_spread: float = 0.15,
-    fail_server: int | None = None,
-    fail_at_ns: int | None = None,
-) -> tuple[dict, RunResult]:
-    """Run the four-app mix on a memory cluster; return (artifact, result).
-
-    The CI profile runs failure-free (a stable baseline); pass
-    *fail_server* (and optionally *fail_at_ns*, relative to the
-    measured phase) to crash a server mid-run and exercise slab remap
-    and archive re-fetch — the run must still complete with identical
-    page contents whenever a copy survived.
-    """
-    from repro.bench.runner import BenchScale
-    from repro.bench.prefetch import application_workloads
-    from repro.cluster import FailureEvent
-    from repro.sim.machine import Machine, cluster_config
-    from repro.sim.units import ms
-
-    scale = BenchScale(wss_pages=wss_pages, accesses=accesses, seed=seed)
-    machine = Machine(
-        cluster_config(
-            seed=seed,
-            remote_machines=servers,
-            server_qps=server_qps,
-            server_latency_spread=latency_spread,
-        )
-    )
-    pids = {"powergraph": 1, "numpy": 2, "voltdb": 3, "memcached": 4}
-    workloads = {
-        pids[name]: workload
-        for name, workload in application_workloads(scale).items()
-    }
-    failure_plan = []
-    if fail_server is not None:
-        at = fail_at_ns if fail_at_ns is not None else ms(5)
-        failure_plan.append(FailureEvent(at, fail_server))
-    started = time.perf_counter()
-    result = machine.run_cluster(
-        workloads,
-        cores=cores,
-        memory_fraction=memory_fraction,
-        failure_plan=failure_plan,
-    )
-    wall_clock_s = time.perf_counter() - started
-    config = {
-        "seed": seed,
-        "cores": cores,
-        "servers": servers,
-        "server_qps": server_qps,
-        "latency_spread": latency_spread,
-        "wss_pages": wss_pages,
-        "accesses": accesses,
-        "memory_fraction": memory_fraction,
-        "system": "d-vmm+leap+cluster",
-    }
-    if fail_server is not None:
-        config["fail_server"] = fail_server
-    artifact = profile_cluster(
-        result,
-        {pid: name for name, pid in pids.items()},
-        bench="cluster",
-        config=config,
-        wall_clock_s=wall_clock_s,
-    )
-    return artifact, result
-
-
-def scenarios_profile(
-    wss_pages: int = 1024,
-    accesses: int = 6000,
-    seed: int = 42,
-    cores: int = 2,
-    servers: int = 3,
-    scenarios: tuple[str, ...] = SCENARIO_PROFILE_NAMES,
 ) -> tuple[dict, list[dict]]:
     """Run the gated scenario set on the cluster engine.
 
@@ -475,15 +492,19 @@ def scenarios_profile(
     keyed ``<scenario>/<tenant>`` (gated on ``p95_us``/``completion_s``
     like any app row) and per-server read latencies in ``servers``
     keyed ``<scenario>/<server_id>`` — so a regression in steady-state,
-    interference, or failure-recovery latency fails the gate.
+    interference, or failure-recovery latency fails the gate.  The set
+    runs three multi-tenant mixes, so each runs at half the shared
+    *wss_pages*/*accesses* scale to keep the smoke job a smoke job.
     """
     from repro.scenarios import run_scenario
 
+    wss_pages //= 2
+    accesses //= 2
     apps: dict[str, dict] = {}
     server_rows: dict[str, dict] = {}
     payloads: list[dict] = []
     started = time.perf_counter()
-    for name in scenarios:
+    for name in SCENARIO_PROFILE_NAMES:
         payload = run_scenario(
             name,
             seed=seed,
@@ -508,7 +529,7 @@ def scenarios_profile(
             "servers": servers,
             "wss_pages": wss_pages,
             "accesses": accesses,
-            "scenarios": list(scenarios),
+            "scenarios": list(SCENARIO_PROFILE_NAMES),
             "system": "d-vmm+leap+cluster",
         },
         "apps": apps,
@@ -521,12 +542,11 @@ def scenarios_profile(
     return artifact, payloads
 
 
-def control_profile(
-    wss_pages: int = 512,
-    accesses: int = 6000,
+def _control(
     seed: int = 42,
     cores: int = 4,
-    scenario: str = CONTROL_PROFILE_SCENARIO,
+    wss_pages: int = 2048,
+    accesses: int = 8000,
 ) -> tuple[dict, dict]:
     """Run the governed-vs-static A/B for the control-plane gate.
 
@@ -537,12 +557,16 @@ def control_profile(
     records the aggregate hit rate per arm, the governor's decisions,
     and whether the governed run beat the best static arm — the
     artifact-level statement of the control plane's reason to exist.
+    One scenario runs as 1 governed + N static arms, so the A/B uses a
+    quarter of the shared *wss_pages* and three quarters of *accesses*.
     """
     from repro.scenarios import run_control_ab
 
+    wss_pages //= 4
+    accesses = (3 * accesses) // 4
     started = time.perf_counter()
     ab = run_control_ab(
-        scenario,
+        CONTROL_PROFILE_SCENARIO,
         seed=seed,
         cores=cores,
         wss_pages=wss_pages,
@@ -577,3 +601,34 @@ def control_profile(
         "wall_clock_s": round(wall_clock_s, 3),
     }
     return artifact, ab
+
+
+#: Every measured run, by name (= artifact ``bench`` = baseline stem).
+#: A builder's keyword defaults are the profile's CI-gate settings.
+PROFILES = {
+    "fig13": _fig13,
+    "fig13_scale": _fig13_scale,
+    "cluster": _cluster,
+    "scenarios": _scenarios,
+    "control": _control,
+    "trace": _trace,
+}
+
+
+def run_profile(name: str, **options) -> tuple[dict, object]:
+    """Build, run, and reduce profile *name*; return (artifact, result).
+
+    *options* are the builder's keywords — ``seed``, ``cores``,
+    ``wss_pages``, ``accesses``, ``servers``, ``engine``, ``observer``
+    — where None means the profile's own default.  An option the
+    profile does not take (a working-set size for a pinned tier, an
+    engine for a scenario profile) is a ValueError, not silently
+    ignored.  *result* is the run's :class:`RunResult` (or the
+    scenario payloads for ``scenarios``/``control``).
+    """
+    build = PROFILES[name]
+    given = {key: value for key, value in options.items() if value is not None}
+    extra = [key for key in given if key not in inspect.signature(build).parameters]
+    if extra:
+        raise ValueError(f"the {name} profile takes no {'/'.join(extra)} option")
+    return build(**given)

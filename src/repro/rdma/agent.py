@@ -242,7 +242,6 @@ class HostAgent:
             queue.core: {
                 "ops": queue.stats.operations,
                 "mean_delay_ns": round(queue.stats.mean_queueing_delay, 1),
-                "max_delay_ns": queue.stats.max_queueing_delay,
                 "peak_backlog_ns": queue.stats.peak_backlog_ns,
             }
             for queue in self.queues

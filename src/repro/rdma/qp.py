@@ -45,7 +45,6 @@ class QueueStats:
     def __init__(self) -> None:
         self.operations = 0
         self.total_queueing_delay = 0
-        self.max_queueing_delay = 0
         #: Largest backlog (ns of queued service time) any submission
         #: found in front of it — the queue-depth signal the fault
         #: pipeline's completion queues summarize per core.
@@ -84,8 +83,6 @@ class DispatchQueue:
         backlog = started - now
         if backlog > 0:
             stats.total_queueing_delay += backlog
-            if backlog > stats.max_queueing_delay:
-                stats.max_queueing_delay = backlog
             if backlog > stats.peak_backlog_ns:
                 stats.peak_backlog_ns = backlog
         else:

@@ -40,12 +40,11 @@ def sniff_trace(path: str | Path) -> str | None:
 
 
 def _read_v1_meta(path: Path) -> dict:
-    from repro.workloads.trace_io import _parse_metadata
+    from repro.workloads.trace_io import read_v1_header
 
     with path.open("r", encoding="utf-8") as handle:
-        handle.readline()
-        metadata = _parse_metadata(handle.readline())
-        count = metadata.get("count")
+        metadata = read_v1_header(path, handle)
+        count = metadata["count"]
         if count is None:
             count = sum(
                 1
@@ -54,10 +53,10 @@ def _read_v1_meta(path: Path) -> dict:
             )
     return {
         "format": "repro-trace/1",
-        "name": str(metadata.get("name", "recorded")),
-        "wss_pages": int(metadata["wss_pages"]),
-        "think_ns": int(metadata.get("think_ns", 0)),
-        "count": int(count),
+        "name": metadata["name"],
+        "wss_pages": metadata["wss_pages"],
+        "think_ns": metadata["think_ns"],
+        "count": count,
         "provenance": {},
     }
 

@@ -35,6 +35,7 @@ from typing import Iterator
 
 from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
+from repro.workloads.trace_io import TraceFormatError
 
 __all__ = [
     "FORMAT_NAME",
@@ -57,10 +58,6 @@ _COLUMN_ORDER = ("vpn", "think_ns", "is_write")
 _ALIGN = 64
 #: Sanity bound on the JSON header (metadata, not data).
 _MAX_HEADER_BYTES = 1 << 20
-
-
-class TraceFormatError(ValueError):
-    """A trace file violates the v2 container contract."""
 
 
 def _align(offset: int, alignment: int) -> int:

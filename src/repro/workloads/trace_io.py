@@ -15,6 +15,10 @@ records a think time that differs from the header default, so a
 save/load round trip reproduces every access *exactly* — vpn, write
 flag, and per-access think time included.  The format is deliberately
 trivial so external tools (awk, pandas) can produce it.
+
+The metadata line follows the v2 container's rules: ``wss_pages`` is
+required and at least 1, ``count`` (optional — external files may omit
+it) at least 1, and ``think_ns`` at least 0.
 """
 
 from __future__ import annotations
@@ -25,9 +29,19 @@ from typing import Iterable, Iterator
 from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
 
-__all__ = ["save_trace", "load_trace", "RecordedWorkload"]
+__all__ = [
+    "RecordedWorkload",
+    "TraceFormatError",
+    "load_trace",
+    "read_v1_header",
+    "save_trace",
+]
 
 _HEADER = "# repro-trace v1"
+
+
+class TraceFormatError(ValueError):
+    """A trace file violates its format: the v1 header or the v2 container."""
 
 
 def save_trace(
@@ -67,17 +81,46 @@ def save_trace(
     return len(items)
 
 
-#: Header keys that carry integers; everything else stays a string
-#: (int() would mangle e.g. a digit-and-underscore trace *name*).
-_INT_METADATA_KEYS = ("wss_pages", "think_ns", "count")
+#: Integer header fields: (key, least legal value, how errors name it).
+_V1_INT_FIELDS = (
+    ("wss_pages", 1, "wss_pages"),
+    ("count", 1, "count"),
+    ("think_ns", 0, "default think_ns"),
+)
 
 
-def _parse_metadata(line: str) -> dict[str, object]:
-    fields: dict[str, object] = {}
-    for token in line.lstrip("# ").split():
+def read_v1_header(path: Path, handle) -> dict:
+    """Read and validate the two header lines of a v1 trace.
+
+    *handle* is the file opened in text mode at its start.  Returns
+    ``name``, ``wss_pages``, ``think_ns`` (default 0), and ``count``
+    (None when the file declares none).  Raises
+    :class:`TraceFormatError` naming *path* and the offending field.
+    """
+    header = handle.readline().rstrip("\n")
+    if header != _HEADER:
+        raise TraceFormatError(f"{path}: not a repro trace (header {header!r})")
+    fields: dict[str, str] = {}
+    for token in handle.readline().lstrip("# ").split():
         key, _, value = token.partition("=")
-        fields[key] = int(value) if key in _INT_METADATA_KEYS else value
-    return fields
+        fields[key] = value
+    if "wss_pages" not in fields:
+        raise TraceFormatError(f"{path}: header lacks wss_pages")
+    meta: dict = {"name": fields.get("name", "recorded"), "think_ns": 0, "count": None}
+    for key, least, label in _V1_INT_FIELDS:
+        if key not in fields:
+            continue
+        try:
+            value = int(fields[key])
+        except ValueError:
+            raise TraceFormatError(
+                f"{path}: header {label}={fields[key]!r} is not an integer"
+            ) from None
+        if value < least:
+            sign = "negative" if value < 0 else "zero"
+            raise TraceFormatError(f"{path}: {sign} {label}={value} (must be >= {least})")
+        meta[key] = value
+    return meta
 
 
 def _parse_access(
@@ -113,13 +156,8 @@ def load_trace(path: str | Path) -> "RecordedWorkload":
     """Load a trace file into a replayable workload."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != _HEADER:
-            raise ValueError(f"{path}: not a repro trace (header {header!r})")
-        metadata = _parse_metadata(handle.readline())
-        think_ns = int(metadata.get("think_ns", 0))
-        if think_ns < 0:
-            raise ValueError(f"{path}: negative default think_ns={think_ns}")
+        metadata = read_v1_header(path, handle)
+        think_ns = metadata["think_ns"]
         accesses: list[PageAccess] = []
         for line_number, line in enumerate(handle, start=3):
             line = line.strip()
@@ -128,7 +166,7 @@ def load_trace(path: str | Path) -> "RecordedWorkload":
             accesses.append(_parse_access(path, line_number, line, think_ns))
     if not accesses:
         raise ValueError(f"{path}: trace holds no accesses")
-    declared = metadata.get("count")
+    declared = metadata["count"]
     if declared is not None and len(accesses) != declared:
         kind = "truncated" if len(accesses) < declared else "padded"
         raise ValueError(
@@ -137,9 +175,9 @@ def load_trace(path: str | Path) -> "RecordedWorkload":
         )
     return RecordedWorkload(
         accesses_list=accesses,
-        wss_pages=int(metadata["wss_pages"]),
+        wss_pages=metadata["wss_pages"],
         think_ns=think_ns,
-        name=str(metadata.get("name", "recorded")),
+        name=metadata["name"],
     )
 
 

@@ -59,50 +59,6 @@ class TestCommands:
         assert "d-vmm+leap" in out
         assert "improvement" in out
 
-    def test_cluster_small(self, capsys, tmp_path):
-        code = main(
-            [
-                "cluster",
-                "stride",
-                "zipfian",
-                "--wss-pages",
-                "512",
-                "--accesses",
-                "2000",
-                "--servers",
-                "3",
-                "--fail-server",
-                "0",
-                "--fail-at-ms",
-                "2",
-                "--perf-out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "memory servers" in out
-        assert "DOWN" in out
-        assert "slabs remapped" in out
-        assert (tmp_path / "BENCH_cluster.json").exists()
-
-    def test_cluster_rejects_bad_failure_plan(self, capsys):
-        code = main(["cluster", "stride", "--servers", "3", "--fail-server", "7"])
-        assert code == 2
-        assert "outside the cluster" in capsys.readouterr().err
-        base = ["cluster", "stride", "--servers", "3", "--fail-server", "0"]
-        code = main([*base, "--fail-at-ms", "5", "--recover-at-ms", "3"])
-        assert code == 2
-        assert "must be after" in capsys.readouterr().err
-
-    def test_cluster_warns_when_failure_never_fires(self, capsys):
-        base = ["cluster", "stride", "--wss-pages", "256", "--accesses", "200"]
-        code = main([*base, "--servers", "3", "--fail-server", "0", "--fail-at-ms", "5000"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "was never" in out
-        assert "slabs remapped" not in out
-
     def test_every_workload_constructs(self):
         parser = build_parser()
         for name in WORKLOADS:

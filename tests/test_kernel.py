@@ -518,9 +518,9 @@ class TestKernelEdgeCases:
 )
 class TestMillionAccessSmoke:
     def test_seeded_million_access_run_completes(self):
-        from repro.perf.profile import fig13_scale_profile
+        from repro.perf.profile import run_profile
 
-        artifact, result = fig13_scale_profile(seed=42, engine="vectorized")
+        artifact, result = run_profile("fig13_scale", seed=42, engine="vectorized")
         total = sum(s.accesses for s in result.processes.values())
         assert total == 4 * 240_000
         for summary in result.processes.values():

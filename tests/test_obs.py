@@ -176,26 +176,31 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("engine", ["object", "vectorized"])
     def test_fig13_traced_equals_untraced(self, engine):
-        from repro.perf.profile import fig13_profile
+        from repro.perf.profile import run_profile
 
         if engine == "vectorized":
             pytest.importorskip("numpy")
         scale = dict(wss_pages=256, accesses=1200, cores=2, engine=engine)
-        traced, _ = fig13_profile(observer=RunRecorder(), **scale)
-        untraced, _ = fig13_profile(**scale)
+        traced, _ = run_profile("fig13", observer=RunRecorder(), **scale)
+        untraced, _ = run_profile("fig13", **scale)
         traced.pop("wall_clock_s")
         untraced.pop("wall_clock_s")
         assert canonical_json(traced) == canonical_json(untraced)
 
     def test_traced_recordings_identical_across_engines(self):
         pytest.importorskip("numpy")
-        from repro.perf.profile import fig13_profile
+        from repro.perf.profile import run_profile
 
         recordings = {}
         for engine in ("object", "vectorized"):
             recorder = RunRecorder()
-            artifact, _ = fig13_profile(
-                wss_pages=256, accesses=1200, cores=2, engine=engine, observer=recorder
+            artifact, _ = run_profile(
+                "fig13",
+                wss_pages=256,
+                accesses=1200,
+                cores=2,
+                engine=engine,
+                observer=recorder,
             )
             artifact.pop("wall_clock_s")
             artifact["config"].pop("engine_impl")
@@ -420,16 +425,16 @@ class TestObsCli:
         assert "wall_clock_s" not in recording["payload"]
 
     def test_record_flag_validation(self, capsys):
-        assert cli_main(["obs", "record", "web-tier-zipf", "--tier", "scale"]) == 2
-        assert "fig13 target only" in capsys.readouterr().err
         assert cli_main(["obs", "record", "web-tier-zipf", "--engine", "object"]) == 2
+        assert "profile targets only" in capsys.readouterr().err
         assert cli_main(["obs", "record", "no-such-scenario"]) == 2
-        assert (
-            cli_main(
-                ["obs", "record", "fig13", "--tier", "scale", "--wss-pages", "64"]
-            )
-            == 2
-        )
+        assert cli_main(["obs", "record", "fig13_scale", "--wss-pages", "64"]) == 2
+        assert "takes no wss_pages" in capsys.readouterr().err
+        assert cli_main(["obs", "record", "fig13", "--servers", "3"]) == 2
+        assert "takes no servers" in capsys.readouterr().err
+        # Multi-run profiles have no single machine to trace.
+        assert cli_main(["obs", "record", "scenarios"]) == 2
+        assert "takes no observer" in capsys.readouterr().err
 
     def test_top_gates_attribution(self, recording_file, capsys):
         assert (

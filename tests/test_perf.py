@@ -2,18 +2,18 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.perf import (
     ARTIFACT_SCHEMA_VERSION,
-    cluster_profile,
+    PROFILES,
     compare_artifacts,
-    control_profile,
-    fig13_profile,
     load_artifact,
     percentiles_us,
-    scenarios_profile,
+    profile_cluster,
+    run_profile,
     write_artifact,
 )
 from repro.perf.__main__ import main as perf_main
@@ -200,10 +200,24 @@ class TestPerfCompare:
         assert "'servers' section is not a mapping" in capsys.readouterr().err
 
 
+class TestRunProfile:
+    def test_rejects_options_the_profile_does_not_take(self):
+        # Checked before anything runs: a pinned tier takes no scale,
+        # a scenario profile no engine.
+        with pytest.raises(ValueError, match="fig13_scale profile takes no wss_pages"):
+            run_profile("fig13_scale", wss_pages=64)
+        with pytest.raises(ValueError, match="cluster profile takes no engine"):
+            run_profile("cluster", engine="object")
+
+    def test_cli_rejects_options_the_profile_does_not_take(self, tmp_path):
+        with pytest.raises(SystemExit, match="trace profile takes no cores"):
+            perf_main(["--profile", "trace", "--cores", "2", "--out", str(tmp_path)])
+
+
 class TestFig13Profile:
     @pytest.fixture(scope="class")
     def profile(self):
-        return fig13_profile(wss_pages=256, accesses=1200, cores=2)
+        return run_profile("fig13", wss_pages=256, accesses=1200, cores=2)
 
     def test_artifact_shape(self, profile):
         artifact, result = profile
@@ -219,7 +233,7 @@ class TestFig13Profile:
 
     def test_deterministic_simulated_metrics(self, profile):
         artifact, _ = profile
-        again, _ = fig13_profile(wss_pages=256, accesses=1200, cores=2)
+        again, _ = run_profile("fig13", wss_pages=256, accesses=1200, cores=2)
         strip = lambda a: {  # noqa: E731 - local helper
             name: {k: v for k, v in row.items()}
             for name, row in a["apps"].items()
@@ -240,7 +254,7 @@ class TestFig13Profile:
         assert "perf gate OK" in capsys.readouterr().out
 
     def test_cli_gate_fails_on_regression(self, tmp_path, capsys):
-        artifact, _ = fig13_profile(wss_pages=256, accesses=1200, cores=2)
+        artifact, _ = run_profile("fig13", wss_pages=256, accesses=1200, cores=2)
         for row in artifact["apps"].values():
             row["p95_us"] *= 0.5  # make the baseline impossibly fast
         baseline = write_artifact(artifact, tmp_path)
@@ -255,7 +269,7 @@ class TestFig13Profile:
 class TestClusterProfile:
     @pytest.fixture(scope="class")
     def profile(self):
-        return cluster_profile(wss_pages=256, accesses=1200, cores=2, servers=3)
+        return run_profile("cluster", wss_pages=256, accesses=1200, cores=2, servers=3)
 
     def test_artifact_shape(self, profile):
         artifact, _ = profile
@@ -271,7 +285,7 @@ class TestClusterProfile:
 
     def test_deterministic(self, profile):
         artifact, _ = profile
-        again, _ = cluster_profile(wss_pages=256, accesses=1200, cores=2, servers=3)
+        again, _ = run_profile("cluster", wss_pages=256, accesses=1200, cores=2, servers=3)
         assert again["apps"] == artifact["apps"]
         assert again["servers"] == artifact["servers"]
 
@@ -289,9 +303,24 @@ class TestClusterProfile:
         assert "perf gate OK" in capsys.readouterr().out
 
     def test_seeded_failure_run_recovers(self):
-        artifact, result = cluster_profile(
-            wss_pages=256, accesses=1200, cores=2, servers=3, fail_server=0
+        # The gated profile runs failure-free; the same mix with server
+        # 0 crashing 5 ms into the measured phase must still reduce to
+        # a complete artifact and keep every page's contents.
+        from repro.bench.prefetch import application_workloads
+        from repro.bench.runner import BenchScale
+        from repro.cluster import FailureEvent
+        from repro.sim.machine import Machine, cluster_config
+        from repro.sim.units import ms
+
+        machine = Machine(cluster_config(seed=42, remote_machines=3))
+        apps = application_workloads(BenchScale(wss_pages=256, accesses=1200, seed=42))
+        names = dict(enumerate(apps, start=1))
+        result = machine.run_cluster(
+            {pid: apps[name] for pid, name in names.items()},
+            cores=2,
+            failure_plan=[FailureEvent(ms(5), 0)],
         )
+        artifact = profile_cluster(result, names, bench="cluster")
         assert artifact["servers"]["0"]["alive"] is False
         assert artifact["recovery"]["remapped_slabs"] > 0
         assert artifact["recovery"]["lost_pages"] == 0
@@ -303,7 +332,7 @@ class TestClusterProfile:
 class TestScenariosProfile:
     @pytest.fixture(scope="class")
     def profile(self):
-        return scenarios_profile(wss_pages=256, accesses=1200, cores=2, servers=2)
+        return run_profile("scenarios", wss_pages=512, accesses=2400, cores=2, servers=2)
 
     def test_artifact_shape(self, profile):
         artifact, payloads = profile
@@ -331,7 +360,7 @@ class TestScenariosProfile:
 
     def test_deterministic(self, profile):
         artifact, _ = profile
-        again, _ = scenarios_profile(wss_pages=256, accesses=1200, cores=2, servers=2)
+        again, _ = run_profile("scenarios", wss_pages=512, accesses=2400, cores=2, servers=2)
         assert again["apps"] == artifact["apps"]
         assert again["servers"] == artifact["servers"]
         assert again["totals"] == artifact["totals"]
@@ -367,7 +396,7 @@ class TestScenariosProfile:
 class TestControlProfile:
     @pytest.fixture(scope="class")
     def profile(self):
-        return control_profile(wss_pages=256, accesses=2000, cores=2)
+        return run_profile("control", wss_pages=1024, accesses=2667, cores=2)
 
     def test_artifact_shape(self, profile):
         artifact, ab = profile
@@ -398,7 +427,7 @@ class TestControlProfile:
 
     def test_deterministic(self, profile):
         artifact, _ = profile
-        again, _ = control_profile(wss_pages=256, accesses=2000, cores=2)
+        again, _ = run_profile("control", wss_pages=1024, accesses=2667, cores=2)
         assert again["apps"] == artifact["apps"]
         assert again["control"] == artifact["control"]
 
@@ -422,3 +451,25 @@ class TestControlProfile:
         out_text = capsys.readouterr().out
         assert "perf gate OK" in out_text
         assert "governed hit rate" in out_text
+
+
+#: Committed baselines live at the repository root.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("profile", list(PROFILES))
+def test_profile_reproduces_committed_baseline(profile, tmp_path):
+    """Each profile at its CI defaults reproduces its committed baseline.
+
+    Simulated numbers are deterministic per seed, so the gated ``apps``
+    and ``servers`` sections must match ``BENCH_<profile>_baseline.json``
+    exactly — not merely within the gate's regression budget.
+    """
+    if profile in ("fig13_scale", "trace"):
+        pytest.importorskip("numpy")  # vectorized engine by default
+    assert perf_main(["--profile", profile, "--out", str(tmp_path)]) == 0
+    artifact = load_artifact(tmp_path / f"BENCH_{profile}.json")
+    baseline = load_artifact(REPO_ROOT / f"BENCH_{profile}_baseline.json")
+    assert artifact["bench"] == profile
+    for section in ("apps", "servers"):
+        assert artifact.get(section) == baseline.get(section), section

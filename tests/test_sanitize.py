@@ -121,10 +121,10 @@ class TestZeroDrift:
     def test_fig13_smoke_artifact_byte_identical(self, monkeypatch):
         """The acceptance check: sanitizer-enabled fig13 smoke produces
         byte-identical simulated metrics to the plain run."""
-        from repro.perf.profile import fig13_profile
+        from repro.perf.profile import run_profile
 
         def profile():
-            artifact, _ = fig13_profile(wss_pages=512, accesses=4000, cores=2)
+            artifact, _ = run_profile("fig13", wss_pages=512, accesses=4000, cores=2)
             artifact.pop("wall_clock_s", None)  # host time, by design
             return artifact
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import time
 
@@ -403,6 +404,39 @@ class TestV1Hardening:
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=-3 name=neg\n1\n")
         with pytest.raises(ValueError, match="negative default think_ns=-3"):
             load_trace(path)
+
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ("think_ns=0 count=1 name=x", "header lacks wss_pages"),
+            ("wss_pages=0 count=1", "zero wss_pages=0 (must be >= 1)"),
+            ("wss_pages=abc count=1", "header wss_pages='abc' is not an integer"),
+            ("wss_pages=4 count=-1", "negative count=-1 (must be >= 1)"),
+            ("wss_pages=4 count=0", "zero count=0 (must be >= 1)"),
+            ("wss_pages=4 count", "header count='' is not an integer"),
+            ("wss_pages=4 think_ns=-3", "negative default think_ns=-3"),
+            ("wss_pages=4 think_ns=x", "header default think_ns='x' is not an integer"),
+        ],
+    )
+    def test_bad_header_rejected_by_both_readers(self, tmp_path, fields, problem):
+        # The loader and the metadata reader share one header parser,
+        # so they agree on every field and name the file and the field.
+        path = tmp_path / "bad.trace"
+        path.write_text(f"# repro-trace v1\n# {fields}\n1\n")
+        expected = f"^{re.escape(str(path))}: {re.escape(problem)}"
+        for reader in (load_trace, read_trace_meta):
+            with pytest.raises(TraceFormatError, match=expected):
+                reader(path)
+
+    def test_cli_reports_bad_header_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_text("# repro-trace v1\n# think_ns=0 name=x\n1\n")
+        assert main(["trace", "list", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "lacks wss_pages" in err
+        assert main(["trace", "analyze", str(path)]) == 2
+        assert "lacks wss_pages" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
