@@ -120,7 +120,11 @@ def _list(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as error:
             status = 1
             if not args.json:
-                print(f"{path}  error: {error}", file=sys.stderr)
+                # Trace-format errors already lead with the path.
+                message = str(error)
+                if not message.startswith(f"{path}: "):
+                    message = f"{path}: {message}"
+                print(f"error: {message}", file=sys.stderr)
             continue
         rows.append((path, meta))
     if args.json:

@@ -1,7 +1,11 @@
 """Leap's core: trend detection, prefetching, eager eviction (§3–4)."""
 
 from repro.core.access_history import DEFAULT_HISTORY_SIZE, AccessHistory
-from repro.core.eviction import EagerFifoPolicy, make_prefetch_fifo_lru_cache
+
+# Must precede repro.core.leap: the machine import chain that module
+# starts only resolves with repro.mem already loaded.
+from repro.mem.page_cache import EagerFifoPolicy
+
 from repro.core.leap import Leap
 from repro.core.majority import majority_candidate, majority_threshold, verified_majority
 from repro.core.prefetch_window import DEFAULT_MAX_WINDOW, PrefetchWindow
@@ -24,6 +28,5 @@ __all__ = [
     "find_trend",
     "majority_candidate",
     "majority_threshold",
-    "make_prefetch_fifo_lru_cache",
     "verified_majority",
 ]

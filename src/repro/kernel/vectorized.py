@@ -55,6 +55,11 @@ __all__ = [
 #: use), grow toward the ceiling through long resident runs.
 MIN_LOOKAHEAD = 32
 MAX_LOOKAHEAD = 8192
+#: Resident runs predicted to end within this many accesses are walked
+#: one access at a time (numpy's per-run fixed cost exceeds several
+#: scalar accesses); a walk that reaches this length without ending
+#: hands the rest of its run to the array path.
+SHORT_RUN = 4
 #: A cross-driver window only pays for its gathers above this many
 #: bulk-executable accesses; smaller opportunities fall through to the
 #: ordinary scalar pops.
@@ -171,6 +176,7 @@ def step_burst_columnar(
     tracer = vmm.tracer
     executed = 0
     resident_total = 0
+    long_run = False
     while True:
         if executed:
             t = clock.now
@@ -203,9 +209,56 @@ def step_burst_columnar(
             driver.accesses += 1
             executed += 1
             cursor.advance(1)
+            long_run = False
             if lookahead > MIN_LOOKAHEAD:
                 lookahead >>= 1
             continue
+        if stop_time is not None and not long_run:
+            think = int(thinks[0])
+            if stop_time - clock.now < SHORT_RUN * think:
+                # Predicted short: the next heap entry is fewer than
+                # SHORT_RUN think times away, so numpy's fixed cost
+                # would dwarf the run.  Walk it with the object loop's
+                # per-access semantics, at most SHORT_RUN accesses; a
+                # run still going after that finishes on the array path.
+                start = clock.now
+                limit = SHORT_RUN if SHORT_RUN < len(vpns) else len(vpns)
+                vpn = head
+                walked = 0
+                while True:
+                    now = clock.advance(think)
+                    if now >= pipeline.next_scan_due:
+                        pipeline.run_scans(now)
+                    resident_lru.reference(vpn)
+                    if writes.item(walked):
+                        page_table.mark_dirty(vpn)
+                    walked += 1
+                    if walked == limit:
+                        break
+                    if events_at is not None and now >= events_at:
+                        break
+                    if now > stop_time or (now == stop_time and index >= stop_index):
+                        break
+                    if budget is not None and executed + walked >= budget:
+                        break
+                    vpn = vpns.item(walked)
+                    if not (0 <= vpn < mask_len and mask[vpn]):
+                        break
+                    think = thinks.item(walked)
+                if tracer.enabled:
+                    tracer.span(
+                        KERNEL_RESIDENT_RUN,
+                        core_track(pipeline.process(pid).core),
+                        start,
+                        clock.now - start,
+                    )
+                resident_total += walked
+                driver.accesses += walked
+                executed += walked
+                cursor.advance(walked)
+                long_run = walked == SHORT_RUN
+                continue
+        long_run = False
         look = lookahead if lookahead < len(vpns) else len(vpns)
         run = leading_resident(mask, vpns[:look])
         cum = clock.now + np.cumsum(thinks[:run])

@@ -4,8 +4,9 @@ Each job is one JSON file; its lifecycle is the directory it sits in
 (``pending/`` → ``running/`` → ``done/`` | ``failed/``).  State
 transitions are ``os.rename`` within one filesystem — atomic on POSIX
 — so any number of worker processes can poll the same queue root and
-exactly one wins each claim, with no lock files and nothing to fsck
-after a crash beyond moving orphaned ``running/`` entries back.
+exactly one wins each claim, with no lock files.  Crash recovery is not
+implemented yet: a job whose worker died stays in ``running/`` until it
+is moved back to ``pending/`` by hand.
 
 Per-cell progress streams through ``progress/<job_id>.json``, written
 by the executing worker and polled by ``repro service status``.

@@ -170,29 +170,25 @@ class SimRandom:
         """Draw *count* uniform floats in one batch, bit-exact with
         *count* sequential :meth:`random` calls.
 
-        CPython's :class:`random.Random` and numpy's legacy
-        ``RandomState`` both run MT19937 and build doubles identically
-        (two words; 53 bits), so mirroring the 624-word state into
-        numpy, drawing the batch, and copying the state back consumes
-        exactly the same underlying stream as the scalar path — callers
-        may freely interleave scalar and batched draws.  Used by the
-        columnar workload generators; requires numpy.
+        :meth:`random` builds each double from the next two 32-bit
+        Mersenne Twister words, ``(a >> 5) * 2**26 + (b >> 6)`` scaled
+        by ``2**-53``.  ``getrandbits(64 * count)`` returns the next
+        ``2 * count`` words of the same stream as one little-endian
+        integer, first word lowest, so the batch does that arithmetic
+        on the words as arrays (exact in float64) and consumes exactly
+        what the scalar calls would — callers may freely interleave
+        scalar and batched draws.  Used by the columnar workload
+        generators; requires numpy (not ``numpy.random``).
         """
         import numpy as np
 
         if count <= 0:
             return np.empty(0, dtype=np.float64)
-        version, internal, gauss_next = self._rng.getstate()
-        mirror = np.random.RandomState()
-        mirror.set_state(
-            ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1], 0, 0.0)
-        )
-        values = mirror.random_sample(count)
-        _, words, position, _, _ = mirror.get_state()
-        self._rng.setstate(
-            (version, tuple(int(word) for word in words) + (int(position),), gauss_next)
-        )
-        return values
+        bits = self._rng.getrandbits(64 * count)
+        words = np.frombuffer(bits.to_bytes(8 * count, "little"), dtype="<u4")
+        high = (words[0::2] >> 5).astype(np.float64)
+        low = (words[1::2] >> 6).astype(np.float64)
+        return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
 
     def zipf(self, n_items: int, skew: float) -> int:
         """Draw an item index in ``[0, n_items)`` with Zipfian popularity."""

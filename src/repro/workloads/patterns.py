@@ -3,9 +3,7 @@
 ``SequentialWorkload`` and ``StrideWorkload`` are the two
 microbenchmarks of Figures 2 and 7 (sequential scan; stride of 10
 pages).  ``RandomWorkload`` and ``ZipfianWorkload`` are the irregular
-building blocks used by the application traces.  ``PatternSegment``
-generators are reused by the composite application workloads in this
-package.
+extremes the application traces mix in.
 """
 
 from __future__ import annotations
@@ -20,28 +18,7 @@ __all__ = [
     "StrideWorkload",
     "RandomWorkload",
     "ZipfianWorkload",
-    "sequential_run",
-    "stride_run",
-    "random_run",
 ]
-
-
-def sequential_run(start: int, length: int) -> Iterator[int]:
-    """``length`` consecutive pages starting at ``start``."""
-    for step in range(length):
-        yield start + step
-
-
-def stride_run(start: int, stride: int, count: int) -> Iterator[int]:
-    """``count`` pages spaced ``stride`` apart from ``start``."""
-    for step in range(count):
-        yield start + step * stride
-
-
-def random_run(rng: SimRandom, space: int, count: int) -> Iterator[int]:
-    """``count`` uniform-random pages within ``[0, space)``."""
-    for _ in range(count):
-        yield rng.randrange(space)
 
 
 class SequentialWorkload(Workload):
@@ -51,7 +28,7 @@ class SequentialWorkload(Workload):
 
     def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
         while True:
-            yield from sequential_run(0, self.wss_pages)
+            yield from range(self.wss_pages)
 
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
         import numpy as np

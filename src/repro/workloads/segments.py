@@ -11,12 +11,12 @@ applications did, which is all a prefetcher ever observes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator
 
-from repro.sim.rng import SimRandom
+from repro.sim.rng import SimRandom, _zipf_cdf
 from repro.workloads.base import Workload
 from repro.workloads.mixer import burst_interleave, weighted_choice
-from repro.workloads.patterns import sequential_run, stride_run
 
 __all__ = ["SegmentMixWorkload"]
 
@@ -85,25 +85,22 @@ class SegmentMixWorkload(Workload):
             return self.wss_pages
         return max(1, int(self.wss_pages * self.hot_fraction))
 
-    def _irregular_target(self, rng: SimRandom, scatter: list[int]) -> int:
-        if self.irregular_skew is None:
-            return rng.randrange(len(scatter))
-        return scatter[rng.zipf(len(scatter), self.irregular_skew)]
-
     def _draw_phase(self, rng: SimRandom) -> tuple[str, int]:
         """A phase: the segment kind plus the stride all threads share."""
         return weighted_choice(rng, self.segment_weights), rng.choice(self.strides)
 
     def _segment_stream(
         self, rng: SimRandom, phase: list[tuple[str, int]] | None, thread: int
-    ) -> Iterator[int]:
-        """One thread's infinite stream of pattern segments.
+    ) -> Iterator[list[int]]:
+        """One thread's infinite stream of pattern segments, one list each.
 
         With phase correlation, the segment *kind* (and the stride, for
         stride phases) is read from the shared ``phase`` cell instead of
         drawn independently — modelling BSP-style engines where all
         worker threads run the same operation (gather/apply/scatter, or
-        the panels of a blocked matmul) at the same time.
+        the panels of a blocked matmul) at the same time.  The cell is
+        read when the segment is pulled, so the puller must bring it to
+        the segment's start first.
 
         With ``shard_cursors``, each thread owns a contiguous shard of
         the address space and its streaming segments *continue a
@@ -118,11 +115,19 @@ class SegmentMixWorkload(Workload):
         ``hot_pages`` of the address space, hash-scattered — modelling
         pointer-chasing over hot structures (vertex data, B-tree upper
         levels) while streaming segments sweep the cold bulk.
+
+        Every segment is built whole from the same draws, in the same
+        order, as emitting it page by page would make: runs are
+        ``range`` slices and zipf targets are inverse-transform lookups
+        on the same uniform draws ``SimRandom.zipf`` makes.
         """
-        scatter = list(range(self.hot_pages))
+        hot = self.hot_pages
+        scatter = list(range(hot))
         rng.spawn("scatter").shuffle(scatter)
         pick = rng.spawn("pick")
         body = rng.spawn("body")
+        if self.irregular_skew is not None:
+            cdf = _zipf_cdf(hot, self.irregular_skew)
         if self.shard_cursors:
             shard_size = self.wss_pages // self.interleave
             shard_lo = thread * shard_size
@@ -134,7 +139,8 @@ class SegmentMixWorkload(Workload):
         # re-sweeps it before moving on.  The window fits in memory at
         # the 50% limit but not at 25% — the locality cliff behind the
         # Figure 11 columns.
-        if self.region_fraction is not None:
+        dwelling = self.region_fraction is not None
+        if dwelling:
             region_size = max(32, int((shard_hi - shard_lo) * self.region_fraction))
         else:
             region_size = shard_hi - shard_lo
@@ -144,26 +150,44 @@ class SegmentMixWorkload(Workload):
         cursor = region_lo
         stride_phase = 0
 
-        def advance_region() -> None:
-            nonlocal region_lo, region_hi, cursor, dwell_left
-            region_lo = region_lo + region_size
-            if region_lo >= shard_hi:
-                region_lo = shard_lo
-            region_hi = min(shard_hi, region_lo + region_size)
-            cursor = region_lo
-            dwell_left = self.region_dwell_accesses
+        def walk(step: int, count: int) -> list[int]:
+            """*count* cursor steps of *step* pages, a straight piece at a time.
 
-        def step_cursor(step: int) -> int:
-            nonlocal cursor, stride_phase, dwell_left
-            value = cursor
-            cursor += step
-            if cursor >= region_hi:
-                stride_phase = (stride_phase + 1) % max(1, step)
-                cursor = region_lo + stride_phase
-            dwell_left -= 1
-            if dwell_left <= 0 and self.region_fraction is not None:
-                advance_region()
-            return value
+            Per page, the cursor moves by *step*, wraps to the next
+            stride phase of its region once at or past the region end,
+            and after ``region_dwell_accesses`` pages moves to the next
+            region.  Between those events the pages form a ``range``.
+            """
+            nonlocal cursor, stride_phase, dwell_left, region_lo, region_hi
+            out: list[int] = []
+            while count > 0:
+                # Pages up to and including the one that wraps.
+                if step > 0:
+                    span = max(1, -(-(region_hi - cursor) // step))
+                else:
+                    span = 1 if cursor + step >= region_hi else count
+                if dwelling and dwell_left < span:
+                    span = max(1, dwell_left)
+                if count < span:
+                    span = count
+                if step:
+                    out.extend(range(cursor, cursor + span * step, step))
+                else:
+                    out.extend([cursor] * span)
+                count -= span
+                cursor += span * step
+                if cursor >= region_hi:
+                    stride_phase = (stride_phase + 1) % max(1, step)
+                    cursor = region_lo + stride_phase
+                dwell_left -= span
+                if dwelling and dwell_left <= 0:
+                    region_lo += region_size
+                    if region_lo >= shard_hi:
+                        region_lo = shard_lo
+                    region_hi = min(shard_hi, region_lo + region_size)
+                    cursor = region_lo
+                    dwell_left = self.region_dwell_accesses
+            return out
 
         while True:
             if phase is not None:
@@ -174,47 +198,86 @@ class SegmentMixWorkload(Workload):
             if kind == "sequential":
                 length = body.randint(*self.seq_run_pages)
                 if self.shard_cursors:
-                    for _ in range(length):
-                        yield step_cursor(1)
+                    yield walk(1, length)
                 else:
                     start = body.randrange(max(1, self.wss_pages - length))
-                    yield from sequential_run(start, length)
+                    yield list(range(start, start + length))
             elif kind == "stride":
                 steps = body.randint(*self.stride_run_steps)
                 if self.shard_cursors:
-                    for _ in range(steps):
-                        yield step_cursor(stride)
+                    yield walk(stride, steps)
                 else:
                     reach = abs(stride) * steps
                     start = body.randrange(max(1, self.wss_pages - reach))
-                    yield from stride_run(start, stride, steps)
+                    if stride:
+                        yield list(range(start, start + steps * stride, stride))
+                    else:
+                        yield [start] * steps
             else:
                 steps = body.randint(*self.irregular_run_steps)
-                for _ in range(steps):
-                    yield self._irregular_target(body, scatter)
+                if self.irregular_skew is None:
+                    yield [body.randrange(hot) for _ in range(steps)]
+                else:
+                    last = hot - 1
+                    draw = body.random
+                    yield [scatter[min(bisect_left(cdf, draw()), last)] for _ in range(steps)]
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
+    def _vpn_chunks(self, rng: SimRandom) -> Iterator[list[int]]:
+        """The infinite vpn stream as a sequence of list chunks.
+
+        The one generator behind both :meth:`_vpn_stream` and
+        :meth:`_columnar_vpn_blocks`.  With phase correlation the phase
+        changes after a drawn number of merged-stream accesses, and a
+        thread reads it at each segment start; the interleaver reports
+        where each segment starts, so the phase is advanced to exactly
+        that access before the segment is drawn.
+        """
         phase: list[tuple[str, int]] | None = None
         phase_rng = rng.spawn("phase")
         if self.phase_correlated:
             phase = [self._draw_phase(phase_rng)]
-        streams = [
+            next_change = max(1, phase_rng.randint(*self.phase_accesses))
+
+            def advance_phase(position: int) -> None:
+                nonlocal next_change
+                while position >= next_change:
+                    phase[0] = self._draw_phase(phase_rng)
+                    next_change += max(1, phase_rng.randint(*self.phase_accesses))
+
+        else:
+            advance_phase = None
+        sources = [
             self._segment_stream(rng.spawn(f"thread-{index}"), phase, index)
             for index in range(self.interleave)
         ]
-        if len(streams) == 1:
-            merged: Iterator[int] = streams[0]
-        else:
-            merged = burst_interleave(
-                streams, rng.spawn("interleave"), self.burst[0], self.burst[1]
+        if len(sources) > 1:
+            yield from burst_interleave(
+                sources,
+                rng.spawn("interleave"),
+                self.burst[0],
+                self.burst[1],
+                on_segment=advance_phase,
             )
-        if phase is None:
-            yield from merged
             return
-        remaining = phase_rng.randint(*self.phase_accesses)
-        for vpn in merged:
-            yield vpn
-            remaining -= 1
-            if remaining <= 0:
-                phase[0] = self._draw_phase(phase_rng)
-                remaining = phase_rng.randint(*self.phase_accesses)
+        (source,) = sources
+        position = 0
+        while True:
+            if advance_phase is not None:
+                advance_phase(position)
+            segment = next(source)
+            yield segment
+            position += len(segment)
+
+    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
+        for chunk in self._vpn_chunks(rng):
+            yield from chunk
+
+    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
+        import numpy as np
+
+        buffered: list[int] = []
+        for chunk in self._vpn_chunks(rng):
+            buffered += chunk
+            if len(buffered) >= block_size:
+                yield np.array(buffered, dtype=np.int64)
+                buffered = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import core
 from repro.control import (
     BalancerSpec,
     ControlSpec,
@@ -14,7 +15,6 @@ from repro.control import (
     TenantMemoryBalancer,
 )
 from repro.control.telemetry import EpochSample, TenantSignals
-from repro.core.eviction import PrefetchFifoLruList
 from repro.mem.page_cache import EagerFifoPolicy
 from repro.mem.vmm import AccessKind
 from repro.metrics.counters import PrefetchMetrics
@@ -90,8 +90,8 @@ class TestPollutionSignal:
         assert data["evicted_unused"] == 0
         assert data["pollution_ratio"] == 0.0
 
-    def test_eviction_alias_matches_docstring(self):
-        assert PrefetchFifoLruList is EagerFifoPolicy
+    def test_core_exports_the_page_cache_policy(self):
+        assert core.EagerFifoPolicy is EagerFifoPolicy
 
 
 def make_signals(pid, hits, majors, limit=100, core=0):

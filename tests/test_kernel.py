@@ -21,8 +21,11 @@ The seeded million-access smoke at the bottom is nightly-only: set
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import os
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import FailureEvent
+from repro.datapath.pipeline import FaultPipeline
 from repro.kernel import AccessBlock, ColumnarCursor, pack_blocks
 from repro.kernel.vectorized import _apply_resident_run
 from repro.mem.lru import ActiveInactiveLRU
@@ -37,8 +41,11 @@ from repro.mem.page_table import PageTable
 from repro.sim.machine import ENGINES, Machine, cluster_config, leap_config
 from repro.sim.process import PageAccess, ProcessDriver, make_driver
 from repro.sim.rng import SimRandom
+from repro.sim.run import warmup_process
 from repro.sim.simulate import simulate
 from repro.workloads.base import Workload
+from repro.workloads.memcached import MemcachedWorkload
+from repro.workloads.numpy_matmul import NumpyMatmulWorkload
 from repro.workloads.patterns import (
     RandomWorkload,
     SequentialWorkload,
@@ -46,7 +53,9 @@ from repro.workloads.patterns import (
     ZipfianWorkload,
 )
 from repro.workloads.phased import PhasedWorkload
+from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.trace_io import RecordedWorkload
+from repro.workloads.voltdb import VoltDBWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +109,10 @@ class TestColumnarBlocks:
                 wss_pages=64, total_accesses=333, seed=5, write_fraction=0.4
             ),
             ALL_PHASE_WORKLOAD,
+            PowerGraphWorkload(wss_pages=300, total_accesses=2000, seed=6),
+            NumpyMatmulWorkload(wss_pages=300, total_accesses=2000, seed=7),
+            VoltDBWorkload(wss_pages=300, total_accesses=2000, seed=8),
+            MemcachedWorkload(wss_pages=300, total_accesses=2000, seed=9),
         ],
         ids=lambda w: w.name + (f"+wf{w.write_fraction}" if w.write_fraction else ""),
     )
@@ -419,6 +432,125 @@ class TestEngineEquivalence:
 
         obj, vec = run_both(build)
         assert obj == vec
+
+
+def short_run_workloads(accesses=1500, thinks=(1_000, 1_300, 1_700, 2_300)):
+    """Four apps with mismatched think times: under think-time lockstep
+    most bursts are 1–3 accesses long, so resident runs take the
+    kernel's scalar walk."""
+    apps = [PowerGraphWorkload, NumpyMatmulWorkload, VoltDBWorkload, MemcachedWorkload]
+    return {
+        pid: cls(wss_pages=256, total_accesses=accesses, seed=pid, think_ns=think)
+        for pid, (cls, think) in enumerate(zip(apps, thinks), start=1)
+    }
+
+
+@contextlib.contextmanager
+def walk_coverage():
+    """Count LRU references and kswapd scans made by the scalar walk.
+
+    Both are called straight from ``step_burst_columnar`` only inside
+    the walk: the array path references through ``_apply_resident_run``
+    and fires scans through ``_fire_scans_in_run``, and the fault path
+    goes through the pipeline.
+    """
+    seen = {"reference": 0, "run_scans": 0}
+    reference = ActiveInactiveLRU.reference
+    run_scans = FaultPipeline.run_scans
+
+    def from_walk(name, method):
+        def wrapper(self, *args):
+            if sys._getframe(1).f_code.co_name == "step_burst_columnar":
+                seen[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    patches = (
+        mock.patch.object(ActiveInactiveLRU, "reference", from_walk("reference", reference)),
+        mock.patch.object(FaultPipeline, "run_scans", from_walk("run_scans", run_scans)),
+    )
+    with patches[0], patches[1]:
+        yield seen
+
+
+class TestShortRunWalk:
+    """Engine parity where the vectorized kernel walks short resident runs."""
+
+    @pytest.mark.parametrize("budget", [None, 3_001])
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_walk_matches_object_engine(self, cores, budget):
+        # A 30 us kswapd period puts scan due points inside walks, and
+        # epoch boundaries every 0.2 ms and the access budget cut
+        # bursts mid-walk.
+        def build(engine):
+            config = leap_config(seed=17, n_cores=cores, kswapd_period_ns=30_000, engine=engine)
+            machine = Machine(config)
+            epochs = []
+            result = machine.run_concurrent(
+                short_run_workloads(),
+                cores=cores,
+                memory_fraction=0.5,
+                max_total_accesses=budget,
+                epoch_ns=200_000,
+                on_epoch=lambda at, sched: epochs.append(at),
+            )
+            return (
+                summary_fingerprint(result),
+                machine_fingerprint(machine, [1, 2, 3, 4]),
+                epochs,
+            )
+
+        with walk_coverage() as seen:
+            obj, vec = run_both(build)
+        assert obj == vec
+        assert seen["reference"] > 100
+        assert seen["run_scans"] > 0
+        summary, _, epochs = obj
+        assert len(epochs) >= 3
+        if budget is not None:
+            assert sum(summary[pid]["accesses"] for pid in (1, 2, 3, 4)) == budget
+
+    @pytest.mark.parametrize("limit_pages", [128, 256])
+    def test_every_burst_stops_where_the_object_loop_does(self, limit_pages):
+        # A hand-rolled heap gives bursts budgets and events_at bounds
+        # from fixed cycles.  Drivers start together after warmup with
+        # think times in small integer ratios, so heap ties occur (all
+        # the time once the whole working set fits).  Each burst's
+        # length and end clock must match the object loop's, not only
+        # the final state.
+        def build(engine):
+            machine = Machine(
+                leap_config(seed=19, n_cores=4, kswapd_period_ns=30_000, engine=engine)
+            )
+            workloads = short_run_workloads(800, thinks=(1_000, 2_000, 1_500, 3_000))
+            start = 0
+            for pid in workloads:
+                machine.add_process(pid, wss_pages=256, limit_pages=limit_pages)
+                start = warmup_process(machine, pid, start_ns=start)
+            drivers = [
+                make_driver(pid, workload, start_ns=start, engine=engine)
+                for pid, workload in workloads.items()
+            ]
+            heap = [(driver.clock.now, i, driver) for i, driver in enumerate(drivers)]
+            heapq.heapify(heap)
+            bursts = []
+            while heap:
+                _, index, driver = heapq.heappop(heap)
+                stop = heap[0] if heap else (None, 0)
+                turn = len(bursts)
+                events_at = driver.clock.now + (turn % 7) * 700 if turn % 3 else None
+                budget = 1 + turn % 5 if turn % 2 else None
+                ran = driver.step_burst(machine.vmm, index, stop[0], stop[1], events_at, budget)
+                bursts.append((driver.pid, ran, driver.clock.now))
+                if ran:
+                    heapq.heappush(heap, (driver.clock.now, index, driver))
+            return bursts, machine_fingerprint(machine, list(workloads))
+
+        with walk_coverage() as seen:
+            obj, vec = run_both(build)
+        assert obj == vec
+        assert seen["reference"] > 100
 
 
 class TestKernelEdgeCases:

@@ -6,14 +6,22 @@ to the event loop, the result types or the cluster path is checked
 against numbers recorded before it rather than against itself.  Each
 digest is a SHA-256 over ``repr`` of the per-process summary and
 machine fingerprints.  A mismatch means a simulated number moved.
+
+The block-stream digests pin what the workload generators emit, so a
+rewrite of a generator is checked against the trace it made before.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 
+import numpy as np
 import pytest
 
+from repro.bench.prefetch import application_workloads
+from repro.bench.runner import BenchScale
+from repro.cli.common import WORKLOADS, make_workload
 from repro.cluster import FailureEvent
 from repro.sim.machine import Machine, cluster_config, leap_config
 from repro.sim.simulate import simulate
@@ -36,6 +44,38 @@ SIMULATE_DIGESTS = {
 
 #: Digest of the ``run_cluster`` run, core occupancy included.
 CLUSTER_DIGEST = "346b2eed25bfce99a996b8a6a186f36959dbddc6d1f52fee3e968f7f8a0bfa62"
+
+#: (workload kind, seed, block size) -> digest of its ``columnar_blocks()``
+#: stream at wss 512 and 3000 accesses; seed 42 covers every CLI kind,
+#: seed 7 the four applications again.
+BLOCK_STREAM_DIGESTS = {
+    ('sequential', 42, 7): "69039f11ab05fbd0b41eeebf8f5005434233f23a40c8ac540493e76653eff42e",
+    ('sequential', 42, 8192): "976d02aebf440b27a9aa2f9ead89a09e46935d36345d4d3b9a7c2c53e5c51850",
+    ('stride', 42, 7): "138c9b308344e8bfab7aaf426b7bd4ec32bb1ff5c479f3dd5861d43d66bb4dc0",
+    ('stride', 42, 8192): "a787e7ec4ed999805faf4c1b203b6fe3458b2003eddd202c58ceb74ac85ce153",
+    ('random', 42, 7): "69c6ca1af09098d4c18f478ce19d9bc95200184d65f6bdbfeeff6e55d5002328",
+    ('random', 42, 8192): "797e28a78a1289fc8d95f291b73d30de1d5e71e21ab4b6d989430f0702a1a8c9",
+    ('zipfian', 42, 7): "7e1dd45ed6ebd7088b084cc87fa8e0be28b603dd32dde42906db1fe9acde5e55",
+    ('zipfian', 42, 8192): "16b06d140c8290d9536fa8758907c61f370f87cc13e8d9c7c44b5f76f865ce77",
+    ('powergraph', 42, 7): "4886d76818d9481d91791bf2462d3b9f7a8d34f6d79a6aabf38ff2f20f2b6b70",
+    ('powergraph', 42, 8192): "f470b5a77ab3f61b586c61b5ee1fbb95d732af31bd8c8a72f697d683ab3d73a8",
+    ('numpy', 42, 7): "acfe4bd54f079cf26e6ebeb323db3472f16a7d1c7d386c31b7534a78971e3f2c",
+    ('numpy', 42, 8192): "6592d25ec1e0ac9c5ab533957da1c42975c1926214c3fbb0ff3e1b8fae178658",
+    ('voltdb', 42, 7): "2ec80d01ca4fea3ea54899fa370fa69900cbf6ca70e747dbaab3e8c86e070002",
+    ('voltdb', 42, 8192): "4065e9e2c5941c844a03639b6c644b0de33d1cea6bdf2bbb94b37cfa9f543a86",
+    ('memcached', 42, 7): "0112c0c82379ece828dcba1c951dbb0a259e1a586e89a62916b31cb419db1fff",
+    ('memcached', 42, 8192): "ee212ccfd4827d428f7c08ca8482be10b6ef5a6607bf5f4b6d34f92c473896d1",
+    ('kvcache', 42, 7): "7313fc71073f1f09b8c0de555a4053f766f69f6d6a200ca8661d78a26e3844a0",
+    ('kvcache', 42, 8192): "8686d6e2f3b70181d2b37752ef573fa8983e6b33c748d51b334f9e4b5df5d776",
+    ('powergraph', 7, 7): "4404bb0e2a652152c30015c2bd1f4d82541466491bed3995eee73cddc69edb3c",
+    ('powergraph', 7, 8192): "93f1a5c3854ac5ba08204760ed2f15462f69156a4e582ea426ddec7f3ea0c69f",
+    ('numpy', 7, 7): "bbb0abb4b134ccc8d6cd943ffc6a0393318bcc75e515a4754207366366998972",
+    ('numpy', 7, 8192): "174478b4571be5564d8af90e590734d9ace15e51cd11ae9b48f70b932fb7066b",
+    ('voltdb', 7, 7): "93baaf0a6db46a46b94e61d448d4e50ad744438324384daed666c7a7370009e8",
+    ('voltdb', 7, 8192): "c97f7f31e710832802b912f6dd6f59f8084128b267f554b8ac37c92f6440f6d3",
+    ('memcached', 7, 7): "1252f888fa59fc4a5e1db4769a030c413780c2c6ed7567b5163ae6153b1a5d15",
+    ('memcached', 7, 8192): "8684db3754097205656b3c7c3fac467696e092eb473d91a8b4de3a7249b8abda",
+}
 
 
 def digest(result, machine: Machine, *extra) -> str:
@@ -90,3 +130,30 @@ def test_run_cluster_matches_golden(engine):
     cores = {cid: (core.busy_ns, core.accesses) for cid, core in result.cores.items()}
     extra = (cores, result.migrations, result.unfired_timeline_events)
     assert digest(result, machine, *extra) == CLUSTER_DIGEST
+
+
+def block_stream_digest(workload, block_size: int) -> str:
+    """SHA-256 over each block's vpn, is_write and think_ns bytes, in order."""
+    h = hashlib.sha256()
+    for block in workload.columnar_blocks(block_size):
+        h.update(np.ascontiguousarray(block.vpn, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(block.is_write, dtype=np.bool_).tobytes())
+        h.update(np.ascontiguousarray(block.think_ns, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("block_size", [7, 8192])
+@pytest.mark.parametrize("kind", sorted(WORKLOADS))
+def test_workload_block_stream_matches_golden(kind, block_size):
+    args = argparse.Namespace(workload=kind, wss_pages=512, accesses=3000, seed=42, stride=10)
+    expected = BLOCK_STREAM_DIGESTS[kind, 42, block_size]
+    assert block_stream_digest(make_workload(args), block_size) == expected
+
+
+@pytest.mark.parametrize("block_size", [7, 8192])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_application_block_streams_match_golden(seed, block_size):
+    apps = application_workloads(BenchScale(wss_pages=512, accesses=3000, seed=seed))
+    for name, workload in apps.items():
+        expected = BLOCK_STREAM_DIGESTS[name, seed, block_size]
+        assert block_stream_digest(workload, block_size) == expected, name

@@ -750,6 +750,18 @@ class TestTraceCli:
             "repro-trace/2",
         }
 
+    def test_list_names_a_bad_file_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_text("# repro-trace v1\n# think_ns=0 name=x\n1\n")
+        assert main(["trace", "list", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: header lacks wss_pages\n"
+        # An error whose message does not start with the path gets it once.
+        odd = tmp_path / "odd.trace"
+        odd.write_bytes(b"# repro-trace v1\n# wss_pages=4\n\xff\n")
+        assert main(["trace", "list", str(odd)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {odd}: ") and err.count(str(odd)) == 1
+
     def test_replay_engines_agree_via_cli(self, tmp_path, capsys):
         path = self.capture(tmp_path, capsys)
         outputs = {}
