@@ -15,7 +15,7 @@ from repro.bench.runner import BenchScale, run_single
 from repro.metrics.latency import summarize
 from repro.sim.machine import disk_config
 from repro.sim.run import RunResult
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, materialize_columns
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.numpy_matmul import NumpyMatmulWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
@@ -127,18 +127,8 @@ class Fig3Cell:
 
 
 def _workload_addresses(workload: Workload) -> list[int]:
-    """The workload's vpn sequence without per-access objects.
-
-    Goes through the columnar trace path (one ``tolist`` instead of one
-    ``PageAccess`` per touch); falls back to the object stream on
-    installs without numpy.  Both produce the identical int sequence.
-    """
-    try:
-        from repro.workloads.base import materialize_columns
-
-        vpn, _, _ = materialize_columns(workload)
-    except ModuleNotFoundError:
-        return [access.vpn for access in workload.accesses()]
+    """The workload's vpn sequence, read off its columnar blocks."""
+    vpn, _, _ = materialize_columns(workload)
     return vpn.tolist()
 
 

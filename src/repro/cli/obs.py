@@ -107,7 +107,7 @@ def add_parsers(sub) -> None:
         "--perfetto", metavar="FILE", help="write Chrome/Perfetto trace_event JSON"
     )
     export.add_argument(
-        "--npz", metavar="FILE", help="write columnar .npz (requires numpy)"
+        "--npz", metavar="FILE", help="write columnar .npz"
     )
     export.set_defaults(handler=_export)
 
@@ -265,12 +265,7 @@ def _export(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(trace, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(trace['traceEvents'])} trace events)")
     if args.npz:
-        try:
-            path = write_npz(recording, args.npz)
-        except ImportError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(f"wrote {path}")
+        print(f"wrote {write_npz(recording, args.npz)}")
     return 0
 
 

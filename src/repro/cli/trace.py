@@ -177,8 +177,6 @@ def _capture(args: argparse.Namespace) -> int:
                 **params,
             )
             header = capture_workload(workload, args.out)
-    except ModuleNotFoundError as error:
-        return _fail(f"capture needs the [vectorized] extra ({error})")
     except (ValueError, TypeError, OSError) as error:
         return _fail(str(error))
     if args.json:
@@ -198,8 +196,6 @@ def _replay(args: argparse.Namespace) -> int:
 
     try:
         workload = load_any_trace(args.path)
-    except ModuleNotFoundError as error:
-        return _fail(f"v2 replay needs the [vectorized] extra ({error})")
     except (OSError, ValueError) as error:
         return _fail(str(error))
     machine = Machine(leap_config(seed=args.seed, engine=args.engine))
@@ -238,8 +234,6 @@ def _analyze(args: argparse.Namespace) -> int:
 
     try:
         artifact = analyze_trace_file(args.path, regions=args.regions)
-    except ModuleNotFoundError as error:
-        return _fail(f"analyze needs the [vectorized] extra ({error})")
     except (OSError, ValueError) as error:
         return _fail(str(error))
     if args.out:
@@ -283,8 +277,6 @@ def _convert(args: argparse.Namespace) -> int:
 
     try:
         meta = convert_trace(args.src, args.dst)
-    except ModuleNotFoundError as error:
-        return _fail(f"convert needs the [vectorized] extra ({error})")
     except (OSError, ValueError) as error:
         return _fail(str(error))
     if args.json:

@@ -10,12 +10,14 @@ stream otherwise — both yield the byte-identical access sequence), and
 :class:`ColumnarCursor` is the consuming side: a read head over the
 block stream that the vectorized burst kernel slices whole resident
 runs from and that can still pop one scalar access at a time for the
-fault path.
+fault path.  The object engine reads the same cursor as a stream of
+plain ``(vpn, is_write, think_ns)`` tuples (:meth:`ColumnarCursor.tuples`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,6 +35,10 @@ __all__ = [
 #: overhead amortizes to noise, small enough that a block of three
 #: int64/bool columns stays comfortably inside L2.
 DEFAULT_BLOCK_SIZE = 8192
+
+#: Accesses converted to Python objects at a time by
+#: :meth:`ColumnarCursor.tuples`; bounds the per-driver lists it holds.
+TUPLE_SLICE = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +122,7 @@ class ColumnarCursor:
     """A consuming read head over a stream of :class:`AccessBlock`.
 
     One cursor backs one :class:`~repro.sim.process.ProcessDriver` in
-    the vectorized engine.  The kernel reads the *tail* of the current
+    either engine.  The kernel reads the *tail* of the current
     block (``tail()``) to classify a run in one gather, then commits
     consumption with :meth:`advance`; :meth:`pop` serves the scalar
     fault path one access at a time.  Exhaustion (``ensure() ==
@@ -174,6 +180,21 @@ class ColumnarCursor:
     def advance(self, count: int) -> None:
         """Commit consumption of the first *count* accesses of the tail."""
         self._offset += count
+
+    def tuples(self) -> Iterator[tuple[int, bool, int]]:
+        """Consume the rest of the stream as ``(vpn, is_write, think_ns)``.
+
+        Each block is fetched through :meth:`ensure`, converted with one
+        ``tolist()`` per column and walked as a C-level ``zip``, so no
+        Python object beyond the tuple is built per access.
+        """
+        return chain.from_iterable(self._zipped_blocks())
+
+    def _zipped_blocks(self) -> Iterator[Iterator[tuple[int, bool, int]]]:
+        while self.ensure():
+            vpn, is_write, think_ns = (column[:TUPLE_SLICE] for column in self.tail())
+            self.advance(len(vpn))
+            yield zip(vpn.tolist(), is_write.tolist(), think_ns.tolist())
 
     def pop(self) -> PageAccess | None:
         """Consume and return one access as an object (None when done)."""

@@ -364,6 +364,12 @@ class ConcurrentResidentWindow:
             cores[pid] = core
         return cores
 
+    def _back_off(self) -> int:
+        """Skip the next attempts, doubling the count each failure in a row."""
+        self._cooldown = min(self._cooldown * 2 if self._cooldown else 1, WINDOW_MAX_COOLDOWN)
+        self._skip = self._cooldown
+        return 0
+
     def try_run(self, heap) -> int:
         """Attempt one window; returns accesses executed (0 = fall
         through to a scalar pop).  On success the heap is rebuilt from
@@ -387,8 +393,11 @@ class ConcurrentResidentWindow:
         next_epoch = scheduler._next_epoch
         if next_epoch is not None and (events_at is None or next_epoch < events_at):
             events_at = next_epoch
-        plans = []
-        total = 0
+        # Every live driver's resident run first: the window executes
+        # at most their sum, so a sum below the minimum backs off before
+        # any cumsum or searchsorted is paid.
+        runs = []
+        run_total = 0
         for state in live:
             driver = state[0]
             if not driver.cursor.ensure():
@@ -412,6 +421,13 @@ class ConcurrentResidentWindow:
                 state[4] = state[4] >> 1
             if run == 0:
                 continue
+            runs.append((state, clock_now, vpns, writes, thinks, run))
+            run_total += run
+        if run_total < WINDOW_MIN_ACCESSES:
+            return self._back_off()
+        plans = []
+        total = 0
+        for state, clock_now, vpns, writes, thinks, run in runs:
             cum = clock_now + np.cumsum(thinks[:run])
             n = run
             if events_at is not None:
@@ -428,11 +444,7 @@ class ConcurrentResidentWindow:
             plans.append((state, vpns, writes, n, int(cum[n - 1])))
             total += n
         if total < WINDOW_MIN_ACCESSES:
-            self._cooldown = min(
-                self._cooldown * 2 if self._cooldown else 1, WINDOW_MAX_COOLDOWN
-            )
-            self._skip = self._cooldown
-            return 0
+            return self._back_off()
         self._cooldown = 0
         tracer = self.vmm.tracer
         for state, vpns, writes, n, end in plans:

@@ -93,18 +93,9 @@ def to_perfetto(recording: dict) -> dict:
 
 
 def to_npz_arrays(recording: dict) -> dict:
-    """The array dict :func:`write_npz` saves (numpy arrays).
+    """The array dict :func:`write_npz` saves (numpy arrays)."""
+    import numpy
 
-    Raises an informative ImportError when numpy is missing — the
-    recording itself and the Perfetto exporter are stdlib-only.
-    """
-    try:
-        import numpy
-    except ImportError as error:  # pragma: no cover - depends on env
-        raise ImportError(
-            "`.npz` export needs numpy (pip install -e '.[vectorized]'); "
-            "the JSON recording and Perfetto export work without it"
-        ) from error
     arrays: dict = {
         "names": numpy.array(recording["names"]),
         "provenance": numpy.array(

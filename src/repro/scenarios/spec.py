@@ -16,9 +16,13 @@ can live in files, CI configs, and bug reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from repro.control.spec import BalancerSpec, ControlSpec, GovernorSpec
+from repro.kernel.columnar import AccessBlock
 from repro.sim.process import PageAccess
 from repro.sim.rng import SimRandom, derive_seed
 from repro.trace.convert import load_any_trace
@@ -97,16 +101,19 @@ class ArrivalSpec:
 
     def gaps(self, rng: SimRandom) -> Iterator[int]:
         """Infinite stream of inter-access gaps (ns)."""
+        expovariate = rng.expovariate
         while True:
             for mean, span in (
                 (self.think_ns, self.calm_accesses),
                 (self.burst_think_ns, self.burst_accesses),
             ):
-                for _ in range(rng.randint(*span)):
-                    if self.jitter and mean > 0:
-                        yield max(0, int(round(rng.expovariate(1.0 / mean))))
-                    else:
-                        yield mean
+                count = rng.randint(*span)
+                if self.jitter and mean > 0:
+                    rate = 1.0 / mean
+                    for _ in range(count):
+                        yield max(0, int(round(expovariate(rate))))
+                else:
+                    yield from repeat(mean, count)
 
     def to_dict(self) -> dict:
         return {
@@ -408,6 +415,22 @@ class OpenLoopWorkload(Workload):
         rng = SimRandom(self.seed, f"arrivals/{self.name}")
         for access, gap in zip(self.inner.accesses(), self.arrival.gaps(rng)):
             yield PageAccess(vpn=access.vpn, is_write=access.is_write, think_ns=gap)
+
+    def columnar_blocks(self, block_size: int | None = None) -> Iterator[AccessBlock]:
+        """The inner workload's blocks with arrival gaps as think times.
+
+        Gaps come from the same :meth:`ArrivalSpec.gaps` stream as
+        :meth:`accesses`, drawn a block's length at a time in the same
+        order, so the blocks concatenate to exactly that sequence.
+        """
+        gaps = self.arrival.gaps(SimRandom(self.seed, f"arrivals/{self.name}"))
+        for block in self.inner.columnar_blocks(block_size):
+            n = len(block)
+            yield AccessBlock(
+                vpn=block.vpn,
+                is_write=block.is_write,
+                think_ns=np.fromiter(islice(gaps, n), np.int64, count=n),
+            )
 
 
 def _build_workload(tenant: TenantSpec, accesses: int, seed: int) -> Workload:

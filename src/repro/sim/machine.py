@@ -69,13 +69,14 @@ class MachineConfig:
     """Full description of one simulated host."""
 
     seed: int = 42
-    #: Burst execution engine: ``object`` walks one PageAccess at a
-    #: time through the staged pipeline; ``vectorized`` (requires
-    #: numpy) feeds drivers columnar access blocks and classifies whole
-    #: resident runs as array operations (:mod:`repro.kernel`).  Both
-    #: produce bit-identical simulated metrics.  The ``REPRO_SANITIZE=1``
-    #: environment variable layers per-burst structural invariant
-    #: checks (:mod:`repro.analysis.sanitize`) on top of either engine.
+    #: Burst execution engine: ``object`` walks the columnar access
+    #: blocks one ``(vpn, is_write, think_ns)`` tuple at a time through
+    #: the staged pipeline; ``vectorized`` hands drivers the blocks
+    #: themselves and classifies whole resident runs as array
+    #: operations (:mod:`repro.kernel`).  Both produce bit-identical
+    #: simulated metrics.  The ``REPRO_SANITIZE=1`` environment
+    #: variable layers per-burst structural invariant checks
+    #: (:mod:`repro.analysis.sanitize`) on top of either engine.
     engine: str = "object"
     data_path: str = "legacy"
     medium: str = "remote"
@@ -118,14 +119,6 @@ class MachineConfig:
     def validate(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.engine == "vectorized":
-            try:
-                import numpy  # noqa: F401
-            except ImportError as exc:
-                raise ValueError(
-                    "engine='vectorized' requires numpy; install it or "
-                    "use the default object engine"
-                ) from exc
         if self.data_path not in DATA_PATHS:
             raise ValueError(f"unknown data path {self.data_path!r}")
         if self.medium not in MEDIA:

@@ -10,8 +10,7 @@ queues, kswapd) seeing globally monotonic time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, NamedTuple
 
 from repro.mem.vmm import FAULT_KINDS, AccessKind, VirtualMemoryManager
 from repro.sim.clock import VirtualClock
@@ -19,9 +18,12 @@ from repro.sim.clock import VirtualClock
 __all__ = ["PageAccess", "ProcessDriver", "make_driver"]
 
 
-@dataclass(frozen=True, slots=True)
-class PageAccess:
-    """One memory touch: which page, read or write, compute before it."""
+class PageAccess(NamedTuple):
+    """One memory touch: which page, read or write, compute before it.
+
+    A named tuple, so any ``(vpn, is_write, think_ns)`` tuple is an
+    access as far as :class:`ProcessDriver` is concerned.
+    """
 
     vpn: int
     is_write: bool = False
@@ -29,12 +31,17 @@ class PageAccess:
 
 
 class ProcessDriver:
-    """Feeds one process's trace through the VMM."""
+    """Feeds one process's trace through the VMM.
+
+    *trace* is any iterable of ``(vpn, is_write, think_ns)`` tuples —
+    :class:`PageAccess` values or the plain tuples :func:`make_driver`
+    zips off columnar blocks.
+    """
 
     def __init__(
         self,
         pid: int,
-        trace: Iterator[PageAccess] | None,
+        trace: Iterable[tuple[int, bool, int]] | None,
         start_ns: int = 0,
         cursor=None,
     ) -> None:
@@ -92,8 +99,9 @@ class ProcessDriver:
         if access is None:
             self.finished_ns = self.clock.now
             return False
-        self.clock.advance(access.think_ns)
-        outcome = vmm.access(self.pid, access.vpn, self.clock.now, access.is_write)
+        vpn, is_write, think = access
+        self.clock.advance(think)
+        outcome = vmm.access(self.pid, vpn, self.clock.now, is_write)
         self.clock.advance(outcome.latency_ns)
         self.accesses += 1
         self.kind_counts[outcome.kind] += 1
@@ -178,19 +186,19 @@ class ProcessDriver:
                 if access is None:
                     self.finished_ns = clock.now
                     break
-                now = clock.advance(access.think_ns)
-                vpn = access.vpn
+                vpn, is_write, think = access
+                now = clock.advance(think)
                 if 0 <= vpn < address_space and is_resident(vpn):
                     # Inline resident fast path: identical bookkeeping
                     # to the pipeline's classify stage, minus the call.
                     if now >= pipeline.next_scan_due:
                         pipeline.run_scans(now)
                     reference(vpn)
-                    if access.is_write:
+                    if is_write:
                         page_table.mark_dirty(vpn)
                     resident_hits += 1
                 else:
-                    outcome = pipeline_access(pid, vpn, now, access.is_write)
+                    outcome = pipeline_access(pid, vpn, now, is_write)
                     latency = outcome.latency_ns
                     clock.advance(latency)
                     kind_counts[outcome.kind] += 1
@@ -214,19 +222,19 @@ def make_driver(
 ) -> ProcessDriver:
     """Build a :class:`ProcessDriver` for *workload* under *engine*.
 
-    ``"object"`` feeds the driver the per-access iterator from
-    :meth:`Workload.accesses`; ``"vectorized"`` feeds it a
-    :class:`~repro.kernel.ColumnarCursor` over
-    :meth:`Workload.columnar_blocks` — the same access sequence in
-    struct-of-arrays blocks, enabling the burst kernel.  Both engines
-    draw from identically-seeded RNG streams, so the simulated schedule
-    is bit-identical either way.
+    Both engines read the workload's :meth:`Workload.columnar_blocks`
+    through a :class:`~repro.kernel.ColumnarCursor`.  ``"object"`` walks
+    each block one access at a time as ``(vpn, is_write, think_ns)``
+    tuples zipped off its columns (:meth:`ColumnarCursor.tuples`);
+    ``"vectorized"`` hands the cursor itself to the burst kernel.  The
+    access sequence is the same, so the simulated schedule is
+    bit-identical either way.
     """
-    if engine == "object":
-        return ProcessDriver(pid, workload.accesses(), start_ns)
-    if engine != "vectorized":
+    if engine not in ("object", "vectorized"):
         raise ValueError(f"unknown engine {engine!r}")
     from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, ColumnarCursor
 
-    blocks = workload.columnar_blocks(block_size or DEFAULT_BLOCK_SIZE)
-    return ProcessDriver(pid, None, start_ns, cursor=ColumnarCursor(blocks))
+    cursor = ColumnarCursor(workload.columnar_blocks(block_size or DEFAULT_BLOCK_SIZE))
+    if engine == "object":
+        return ProcessDriver(pid, cursor.tuples(), start_ns)
+    return ProcessDriver(pid, None, start_ns, cursor=cursor)

@@ -15,11 +15,12 @@ depend on.  Measurements are normally reset after warmup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
 from repro.mem.vmm import AccessKind
 from repro.sim.machine import Machine
-from repro.sim.process import PageAccess, ProcessDriver
+from repro.sim.process import ProcessDriver
 from repro.sim.units import NS_PER_SEC, to_seconds
 
 __all__ = [
@@ -111,10 +112,10 @@ class RunResult:
         return sum(summary.core_wait_ns for summary in self.processes.values())
 
 
-def sequential_touch(wss_pages: int, think_ns: int = 200) -> Iterator[PageAccess]:
-    """A one-pass sequential touch of every page (write, like loading)."""
-    for vpn in range(wss_pages):
-        yield PageAccess(vpn=vpn, is_write=True, think_ns=think_ns)
+def sequential_touch(wss_pages: int, think_ns: int = 200) -> Iterator[tuple[int, bool, int]]:
+    """A one-pass sequential touch of every page (write, like loading),
+    as ``(vpn, is_write, think_ns)`` tuples."""
+    return zip(range(wss_pages), repeat(True), repeat(think_ns))
 
 
 def warmup_process(machine: Machine, pid: int, start_ns: int = 0) -> int:

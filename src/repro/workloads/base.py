@@ -72,7 +72,7 @@ class Workload(abc.ABC):
         return None
 
     def columnar_blocks(self, block_size: int | None = None):
-        """The trace as struct-of-arrays blocks (vectorized engine).
+        """The trace as struct-of-arrays blocks (what both engines read).
 
         Yields :class:`~repro.kernel.AccessBlock` values whose columns
         concatenate to exactly the :meth:`accesses` sequence: the same
@@ -182,8 +182,7 @@ def materialize_columns(workload: Workload):
     to :meth:`~Workload.accesses` by contract) into three int64/bool
     arrays without a per-access object detour.  Workloads that already
     hold their columns (``ColumnarTraceWorkload``) are returned
-    zero-copy via their ``columns()`` fast path.  Needs numpy — callers
-    that must run without it fall back to :func:`materialize_trace`.
+    zero-copy via their ``columns()`` fast path.
     """
     import numpy as np
 

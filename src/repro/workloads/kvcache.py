@@ -18,8 +18,7 @@ The lookup draws are the only randomness, taken from one labelled
 stream mirrored exactly by ``SimRandom.random_array``, and everything
 else is closed-form arithmetic — so :meth:`columnar_blocks` generates
 the columns natively (arange/power/mod, no per-access Python) while
-:meth:`accesses` replays the identical sequence object-by-object
-without numpy.  This is the flagship trace family for ``repro trace``:
+:meth:`accesses` replays the identical sequence object-by-object.  This is the flagship trace family for ``repro trace``:
 capture it at millions of accesses, replay it zero-copy, and the
 analyzer shows the three regimes as distinct regions.
 """

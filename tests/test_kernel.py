@@ -597,8 +597,8 @@ class TestKernelEdgeCases:
             )
 
     def test_vectorized_engine_requires_numpy_to_validate(self):
-        # numpy is present in this environment, so validation passes;
-        # the membership check still rejects unknown engines.
+        # numpy is a core dependency, so validation passes; the
+        # membership check still rejects unknown engines.
         leap_config(engine="vectorized").validate()
         with pytest.raises(ValueError, match="engine"):
             leap_config(engine="warp").validate()

@@ -178,8 +178,6 @@ class TestByteIdentity:
     def test_fig13_traced_equals_untraced(self, engine):
         from repro.perf.profile import run_profile
 
-        if engine == "vectorized":
-            pytest.importorskip("numpy")
         scale = dict(wss_pages=256, accesses=1200, cores=2, engine=engine)
         traced, _ = run_profile("fig13", observer=RunRecorder(), **scale)
         untraced, _ = run_profile("fig13", **scale)
@@ -188,7 +186,6 @@ class TestByteIdentity:
         assert canonical_json(traced) == canonical_json(untraced)
 
     def test_traced_recordings_identical_across_engines(self):
-        pytest.importorskip("numpy")
         from repro.perf.profile import run_profile
 
         recordings = {}
@@ -352,7 +349,8 @@ class TestExport:
         assert first_span["ts"] == start_ns / 1e3
 
     def test_npz_round_trip(self, recorded, tmp_path):
-        numpy = pytest.importorskip("numpy")
+        import numpy
+
         from repro.obs.export import write_npz
 
         recording, _ = recorded
@@ -480,7 +478,6 @@ class TestObsCli:
         assert "code_rev" in printed
 
     def test_export_perfetto_and_npz(self, recording_file, tmp_path, capsys):
-        pytest.importorskip("numpy")
         perfetto = tmp_path / "trace.json"
         npz = tmp_path / "trace.npz"
         assert (

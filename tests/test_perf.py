@@ -465,8 +465,6 @@ def test_profile_reproduces_committed_baseline(profile, tmp_path):
     and ``servers`` sections must match ``BENCH_<profile>_baseline.json``
     exactly — not merely within the gate's regression budget.
     """
-    if profile in ("fig13_scale", "trace"):
-        pytest.importorskip("numpy")  # vectorized engine by default
     assert perf_main(["--profile", profile, "--out", str(tmp_path)]) == 0
     artifact = load_artifact(tmp_path / f"BENCH_{profile}.json")
     baseline = load_artifact(REPO_ROOT / f"BENCH_{profile}_baseline.json")

@@ -160,7 +160,6 @@ class TestInvariantChecks:
             pipeline.check_invariants(now)
 
     def test_resident_mask_divergence_detected(self):
-        pytest.importorskip("numpy")
         machine, pipeline, now = self._sanitized()
         process = machine.vmm.processes[0]
         mask = process.page_table.ensure_resident_mask(process.address_space_pages)

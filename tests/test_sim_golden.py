@@ -9,12 +9,17 @@ machine fingerprints.  A mismatch means a simulated number moved.
 
 The block-stream digests pin what the workload generators emit, so a
 rewrite of a generator is checked against the trace it made before.
+
+The scenario digests pin every registered scenario's ``run_scenario``
+payload (minus the code revision), on both engines, at a small scale.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,9 @@ from repro.bench.prefetch import application_workloads
 from repro.bench.runner import BenchScale
 from repro.cli.common import WORKLOADS, make_workload
 from repro.cluster import FailureEvent
+from repro.scenarios import runner as scenario_runner
+from repro.scenarios.registry import get_scenario, scenario_names
+from repro.scenarios.spec import build_tenant_workloads
 from repro.sim.machine import Machine, cluster_config, leap_config
 from repro.sim.simulate import simulate
 
@@ -75,6 +83,30 @@ BLOCK_STREAM_DIGESTS = {
     ('voltdb', 7, 8192): "c97f7f31e710832802b912f6dd6f59f8084128b267f554b8ac37c92f6440f6d3",
     ('memcached', 7, 7): "1252f888fa59fc4a5e1db4769a030c413780c2c6ed7567b5163ae6153b1a5d15",
     ('memcached', 7, 8192): "8684db3754097205656b3c7c3fac467696e092eb473d91a8b4de3a7249b8abda",
+    ('failover-under-load/web', 42, 7): "b4a91dd2728351a8c921d36b02cb68f0066469c89670b1369ac9c05d7326a363",
+    ('failover-under-load/web', 42, 8192): "30c4031363a71261bbb32d7890bf0806658020fe3ae7eb747e466a63fd7d77ad",
+    ('failover-under-load/oltp', 42, 7): "c2a8c8ff81b0cf1be5c96de58fe97d0240fad2b4c0f705b0d19d81101b72d8dd",
+    ('failover-under-load/oltp', 42, 8192): "8e07c0b9fa9118987f7d2187378ebb6733395f79e489ac1b4070771d45981dc3",
+    ('failover-under-load/cache', 42, 7): "ee5a6fa1f74b5602a05fc3841d9dc3223fcdf25bedfae07e36f1921486e6fd1d",
+    ('failover-under-load/cache', 42, 8192): "57f76ab9a3ca3993420e2bbeb26561e54fbc56e2e5a8fd2dbe0847bd38e1a35d",
+}
+
+#: Scenario name -> digest of its ``run_scenario`` payload at seed 42,
+#: 4 cores, 256 pages and 1200 accesses (4 servers where the scenario
+#: has a failure timeline); both engines share one digest.
+SCENARIO_DIGESTS = {
+    "adaptive-colocation": "03001aab3b9506c66747dcda3ab6cba96542ecee890c10af5ea220bdd652c858",
+    "analytics-batch": "9c95a8bcb5ab1434d4c63d09f255e5600667421bf86ee440889b9af5e7a2845e",
+    "failover-under-load": "4a82505c73b29d7a253e03c909124f823f225dffdfbaedcc139aa17f3817499d",
+    "kitchen-sink": "5e61fabf2bde766580e60f655333d42d76d5ac5e280c45fcff33ad2c17d87771",
+    "llm-inference-paging": "969cef14061449bc44e89712a6c83df10caf6182fca8f23dce1141e959fbac35",
+    "memcached-storm": "22845bbc64d0bac38615184a4277539b78bad7c0d16f44474001fdda92ffd434",
+    "noisy-neighbor": "fa679a576eb6d0d30b09623f84d02acfc01fb11b9f0ff9d4ef9c12f169b680ce",
+    "noisy-neighbor-balanced": "9c907323361e7658eb23cd13ba35a648f9e8e11fe26f4adcc7aa07f13ade530a",
+    "phase-shift": "2e163b42fa08331f4bb3165cdc471e39aa6ae9531a31e0ccbe8e1ae058a45452",
+    "phase-shift-governed": "86f101d0118af184ffc8288c0e69ae9ed47b682c61a83d5780e0ee589e6ab98a",
+    "stride-adversary": "9741bc0466566fea75cda300a75145240757cb10cb136941c0ec2d7b72d1cd3a",
+    "web-tier-zipf": "5d4715b40f6d6b11712956648ff2ea26fed25a0a284df0131841665e707b149b",
 }
 
 
@@ -157,3 +189,35 @@ def test_application_block_streams_match_golden(seed, block_size):
     for name, workload in apps.items():
         expected = BLOCK_STREAM_DIGESTS[name, seed, block_size]
         assert block_stream_digest(workload, block_size) == expected, name
+
+
+@pytest.mark.parametrize("block_size", [7, 8192])
+def test_open_loop_block_streams_match_golden(block_size):
+    scenario = get_scenario("failover-under-load", wss_pages=512, total_accesses=9000)
+    workloads, names = build_tenant_workloads(scenario, 42)
+    for pid, workload in workloads.items():
+        expected = BLOCK_STREAM_DIGESTS[f"failover-under-load/{names[pid]}", 42, block_size]
+        assert block_stream_digest(workload, block_size) == expected, names[pid]
+
+
+def test_every_registered_scenario_is_pinned():
+    assert sorted(SCENARIO_DIGESTS) == scenario_names()
+
+
+def run_scenario_on(engine: str, name: str) -> dict:
+    """``run_scenario`` with the machine built for *engine*."""
+    leap, cluster = scenario_runner.leap_config, scenario_runner.cluster_config
+    with mock.patch.object(
+        scenario_runner, "leap_config", lambda **kw: leap(engine=engine, **kw)
+    ), mock.patch.object(
+        scenario_runner, "cluster_config", lambda **kw: cluster(engine=engine, **kw)
+    ):
+        return scenario_runner.run_scenario(name, seed=42, wss_pages=256, total_accesses=1200)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_matches_golden(name, engine):
+    payload = run_scenario_on(engine, name)
+    del payload["provenance"]["code_rev"]
+    assert hashlib.sha256(repr(payload).encode()).hexdigest() == SCENARIO_DIGESTS[name]
