@@ -13,7 +13,6 @@ These reproduce the latency-centric early figures of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.bench.runner import BenchScale, latency_improvement, run_single
 from repro.datapath.stages import (
@@ -32,6 +31,7 @@ from repro.sim.machine import (
 from repro.sim.rng import SimRandom
 from repro.sim.units import PAGE_SIZE, to_us, us
 from repro.vfs.remote_regions import RemoteRegionFS
+from repro.workloads.base import materialize_columns
 from repro.workloads.patterns import SequentialWorkload, StrideWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
 
@@ -139,22 +139,6 @@ def _paging_row(
 # --------------------------------------------------------------------------
 # Figures 2 and 7 — file (D-VFS) rows
 # --------------------------------------------------------------------------
-def _micro_vpn_stream(pattern: str, wss_pages: int) -> Iterator[int]:
-    if pattern == "sequential":
-        position = 0
-        while True:
-            yield position
-            position = (position + 1) % wss_pages
-    else:
-        phase, position = 0, 0
-        while True:
-            yield position
-            position += 10
-            if position >= wss_pages:
-                phase = (phase + 1) % 10
-                position = phase
-
-
 def _vfs_row(system: str, pattern: str, leap: bool, scale: BenchScale) -> LatencyRow:
     config = leap_config(seed=scale.seed) if leap else infiniswap_config(seed=scale.seed)
     machine = Machine(config)
@@ -170,9 +154,8 @@ def _vfs_row(system: str, pattern: str, leap: bool, scale: BenchScale) -> Latenc
         now += latency + MICRO_THINK_NS
     machine.reset_measurements()
     samples: list[int] = []
-    stream = _micro_vpn_stream(pattern, region.size_pages)
-    for _ in range(scale.micro_accesses):
-        vpn = next(stream)
+    vpns, _, _ = materialize_columns(_microbench_workload(pattern, scale))
+    for vpn in vpns.tolist():
         latency, _ = region.read(vpn * PAGE_SIZE, PAGE_SIZE, now)
         now += latency + MICRO_THINK_NS
         samples.append(latency)

@@ -11,20 +11,18 @@ accesses that actually fault drop back to the staged pipeline — which
 stays in the tree as the bit-exact oracle the equivalence tests compare
 against (see ``docs/kernel.md``).
 
-numpy is required only when the vectorized engine is selected; the
-object engine never imports it.
+The object engine reads the same columnar blocks, walked one access at
+a time as plain tuples (:meth:`ColumnarCursor.tuples`).
 """
 
 from repro.kernel.columnar import (
     DEFAULT_BLOCK_SIZE,
     AccessBlock,
     ColumnarCursor,
-    pack_blocks,
 )
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "AccessBlock",
     "ColumnarCursor",
-    "pack_blocks",
 ]

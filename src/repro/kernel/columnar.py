@@ -5,8 +5,7 @@ struct-of-arrays blocks holding ``vpn`` (int64), ``is_write`` (bool)
 and ``think_ns`` (int64) columns — instead of one
 :class:`~repro.sim.process.PageAccess` object per touch.  Workloads
 produce blocks via :meth:`~repro.workloads.base.Workload.columnar_blocks`
-(natively vectorized where the pattern allows, packed from the object
-stream otherwise — both yield the byte-identical access sequence), and
+(every workload generates its columns natively), and
 :class:`ColumnarCursor` is the consuming side: a read head over the
 block stream that the vectorized burst kernel slices whole resident
 runs from and that can still pop one scalar access at a time for the
@@ -28,7 +27,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "AccessBlock",
     "ColumnarCursor",
-    "pack_blocks",
 ]
 
 #: Default accesses per block.  Big enough that per-block Python
@@ -64,58 +62,6 @@ class AccessBlock:
 
     def __len__(self) -> int:
         return len(self.vpn)
-
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[PageAccess]) -> "AccessBlock":
-        """Pack an iterable of :class:`PageAccess` into one block."""
-        items = list(accesses)
-        return cls(
-            vpn=np.array([a.vpn for a in items], dtype=np.int64),
-            is_write=np.array([a.is_write for a in items], dtype=np.bool_),
-            think_ns=np.array([a.think_ns for a in items], dtype=np.int64),
-        )
-
-    def accesses(self) -> Iterator[PageAccess]:
-        """Unpack back into per-access objects (tests, interop)."""
-        for vpn, is_write, think_ns in zip(
-            self.vpn.tolist(), self.is_write.tolist(), self.think_ns.tolist()
-        ):
-            yield PageAccess(vpn=vpn, is_write=is_write, think_ns=think_ns)
-
-
-def pack_blocks(
-    accesses: Iterable[PageAccess], block_size: int = DEFAULT_BLOCK_SIZE
-) -> Iterator[AccessBlock]:
-    """Pack an object access stream into columnar blocks.
-
-    The generic (always-correct) producer behind
-    :meth:`Workload.columnar_blocks`: the emitted block sequence
-    concatenates to exactly the input stream, so eager packing is
-    bit-exact for any workload — trace generation depends only on the
-    workload's own RNG draw count, never on simulator state.
-    """
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    vpns: list[int] = []
-    writes: list[bool] = []
-    thinks: list[int] = []
-    for access in accesses:
-        vpns.append(access.vpn)
-        writes.append(access.is_write)
-        thinks.append(access.think_ns)
-        if len(vpns) >= block_size:
-            yield AccessBlock(
-                vpn=np.array(vpns, dtype=np.int64),
-                is_write=np.array(writes, dtype=np.bool_),
-                think_ns=np.array(thinks, dtype=np.int64),
-            )
-            vpns, writes, thinks = [], [], []
-    if vpns:
-        yield AccessBlock(
-            vpn=np.array(vpns, dtype=np.int64),
-            is_write=np.array(writes, dtype=np.bool_),
-            think_ns=np.array(thinks, dtype=np.int64),
-        )
 
 
 class ColumnarCursor:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.control.spec import BalancerSpec, ControlSpec, GovernorSpec
 from repro.kernel.columnar import AccessBlock
-from repro.sim.process import PageAccess
 from repro.sim.rng import SimRandom, derive_seed
 from repro.trace.convert import load_any_trace
 from repro.workloads.base import Workload
@@ -406,22 +405,12 @@ class OpenLoopWorkload(Workload):
         self.arrival = arrival
         self.name = f"open-loop/{inner.name}"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        """Unreachable by design: :meth:`accesses` re-times the inner
-        workload's stream directly."""
-        raise NotImplementedError("OpenLoopWorkload overrides accesses()")
-
-    def accesses(self) -> Iterator[PageAccess]:
-        rng = SimRandom(self.seed, f"arrivals/{self.name}")
-        for access, gap in zip(self.inner.accesses(), self.arrival.gaps(rng)):
-            yield PageAccess(vpn=access.vpn, is_write=access.is_write, think_ns=gap)
-
     def columnar_blocks(self, block_size: int | None = None) -> Iterator[AccessBlock]:
         """The inner workload's blocks with arrival gaps as think times.
 
-        Gaps come from the same :meth:`ArrivalSpec.gaps` stream as
-        :meth:`accesses`, drawn a block's length at a time in the same
-        order, so the blocks concatenate to exactly that sequence.
+        Gaps come from one :meth:`ArrivalSpec.gaps` stream, drawn a
+        block's length at a time, so the think column does not depend
+        on the block size.
         """
         gaps = self.arrival.gaps(SimRandom(self.seed, f"arrivals/{self.name}"))
         for block in self.inner.columnar_blocks(block_size):

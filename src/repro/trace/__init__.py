@@ -21,9 +21,9 @@ The sibling modules cover the trace lifecycle:
   as pure array ops, emitted in the ``BENCH_*``-style section JSON
   that ``repro perf compare`` diffs.
 
-Everything here is deterministic (lint rules R1/R2 cover this package)
-and numpy is imported lazily, so the package imports cleanly on
-object-engine-only installs; the CLI raises a clear error instead.
+Everything here is deterministic (lint rules R1/R2 cover this package).
+Both formats replay through one class,
+:class:`~repro.trace.format.ColumnarTraceWorkload`.
 """
 
 from repro.trace.analyze import analyze_columns, analyze_trace_file

@@ -1,19 +1,17 @@
 """Capture any workload (or scenario tenant) into a v2 trace file.
 
 Capture rides :meth:`~repro.workloads.base.Workload.columnar_blocks`,
-the same columnar stream the vectorized engine replays, so freezing a
-workload never takes a per-access object detour: natively vectorized
-patterns emit arrays end to end, and object-only workloads (open-loop
-arrival wrappers, externally recorded lists) pay exactly one packing
-pass.  The emitted file replays bit-identically to the live workload on
-both engines — the capture→replay identity the tests pin.
+the same columnar stream both engines replay, so freezing a workload
+concatenates arrays end to end.  The emitted file replays
+bit-identically to the live workload on both engines — the
+capture→replay identity the tests pin.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, materialize_columns
 
 __all__ = ["capture_scenario_tenant", "capture_workload", "workload_provenance"]
 
@@ -41,36 +39,23 @@ def capture_workload(
     path: str | Path,
     *,
     name: str | None = None,
-    block_size: int | None = None,
     provenance: dict | None = None,
 ) -> dict:
     """Freeze *workload* into a v2 trace at *path*; returns the header.
 
-    The columns are concatenated from the workload's own block stream —
-    no ``PageAccess`` objects anywhere on the fast path — and written
-    with :func:`~repro.trace.format.write_trace_v2` (trivial columns
-    dropped, atomic replace).
+    The columns are concatenated from the workload's own block stream
+    (:func:`~repro.workloads.base.materialize_columns`) and written with
+    :func:`~repro.trace.format.write_trace_v2` (trivial columns dropped,
+    atomic replace).
     """
-    import numpy as np
-
     from repro.trace.format import write_trace_v2
 
-    vpn_parts = []
-    write_parts = []
-    think_parts = []
-    for block in workload.columnar_blocks(block_size):
-        if len(block) == 0:
-            continue
-        vpn_parts.append(block.vpn)
-        write_parts.append(block.is_write)
-        think_parts.append(block.think_ns)
-    if not vpn_parts:
-        raise ValueError(f"workload {workload.name!r} emitted no accesses")
+    vpn, is_write, think_ns = materialize_columns(workload)
     return write_trace_v2(
         path,
-        np.concatenate(vpn_parts),
-        np.concatenate(write_parts),
-        np.concatenate(think_parts),
+        vpn,
+        is_write,
+        think_ns,
         wss_pages=workload.wss_pages,
         name=name if name is not None else workload.name,
         think_default=workload.think_ns,
@@ -88,7 +73,6 @@ def capture_scenario_tenant(
     seed: int = 42,
     wss_pages: int = 2_048,
     total_accesses: int = 24_000,
-    block_size: int | None = None,
 ) -> dict:
     """Capture one tenant of a registered scenario into a v2 trace.
 
@@ -119,6 +103,5 @@ def capture_scenario_tenant(
         workload,
         path,
         name=f"{scenario_name}/{tenant_name}",
-        block_size=block_size,
         provenance=provenance,
     )

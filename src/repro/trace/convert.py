@@ -1,11 +1,10 @@
 """Sniff, load, and convert between trace formats (v1 text ↔ v2 binary).
 
-The sniffers and metadata readers here are stdlib-only so callers that
-merely need to *identify* a trace — ``repro trace list``, the service
-front door accepting a trace path as a tenant source — work on
-object-engine-only installs.  Only actually touching v2 column data
-(:func:`load_any_trace` on a v2 file, :func:`convert_trace`) needs
-numpy, and that import stays lazy.
+The sniffers and metadata readers here read headers only, so callers
+that merely need to *identify* a trace — ``repro trace list``, the
+service front door accepting a trace path as a tenant source — never
+load column data.  Either format loads into one replay class,
+:class:`~repro.trace.format.ColumnarTraceWorkload`.
 """
 
 from __future__ import annotations
@@ -91,11 +90,8 @@ def read_trace_meta(path: str | Path) -> dict:
 def load_any_trace(path: str | Path):
     """Load either trace format into a replayable workload.
 
-    v1 text loads eagerly into a
-    :class:`~repro.workloads.trace_io.RecordedWorkload`; v2 memory-maps
-    into a :class:`~repro.trace.format.ColumnarTraceWorkload` (needs
-    numpy).  Both expose identical ``accesses()`` / ``columnar_blocks()``
-    contracts, so callers need not care which they got.
+    Both come back as a :class:`~repro.trace.format.ColumnarTraceWorkload`:
+    v1 text is parsed into columns, v2 columns are memory-mapped.
     """
     path = Path(path)
     kind = sniff_trace(path)
@@ -140,9 +136,10 @@ def convert_trace(src: str | Path, dst: str | Path) -> dict:
         from repro.workloads.trace_io import save_trace
 
         workload = open_trace_v2(src)
+        vpn, is_write, think_ns = workload.columns()
         count = save_trace(
             dst,
-            workload.accesses(),
+            zip(vpn.tolist(), is_write.tolist(), think_ns.tolist()),
             wss_pages=workload.wss_pages,
             think_ns=workload.think_ns,
             name=workload.name.replace(" ", "_"),

@@ -31,9 +31,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Iterator
 
-from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
 from repro.workloads.trace_io import TraceFormatError
 
@@ -289,14 +287,12 @@ def open_trace_v2(
 class ColumnarTraceWorkload(Workload):
     """A recorded trace replayed straight from columnar arrays.
 
-    The columnar twin of
-    :class:`~repro.workloads.trace_io.RecordedWorkload`:
-    :meth:`columnar_blocks` slices :class:`~repro.kernel.AccessBlock`
-    views directly off the (usually memory-mapped) columns — zero
-    copies beyond the views — while :meth:`accesses` remains the
-    object-path oracle yielding the bit-identical
-    :class:`~repro.sim.process.PageAccess` sequence for the object
-    engine and equivalence tests.
+    The one replay class for both trace formats: :func:`open_trace_v2`
+    hands it memory-mapped columns, and
+    :func:`~repro.workloads.trace_io.load_trace` the columns parsed from
+    v1 text.  :meth:`columnar_blocks` slices
+    :class:`~repro.kernel.AccessBlock` views directly off the columns —
+    zero copies beyond the views.
     """
 
     def __init__(
@@ -335,10 +331,6 @@ class ColumnarTraceWorkload(Workload):
         #: Capture provenance from the file header (may be empty).
         self.provenance: dict = {}
 
-    def _vpn_stream(self, rng) -> Iterator[int]:
-        """Unreachable by design: both replay paths read the columns."""
-        raise NotImplementedError("ColumnarTraceWorkload overrides accesses()")
-
     def columnar_blocks(self, block_size: int | None = None):
         """Block views sliced straight off the columns (zero-copy)."""
         from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
@@ -355,24 +347,6 @@ class ColumnarTraceWorkload(Workload):
                 is_write=is_write[start:stop],
                 think_ns=think[start:stop],
             )
-
-    def accesses(self) -> Iterator[PageAccess]:
-        """The object-path oracle: one :class:`PageAccess` per touch.
-
-        Decodes the columns chunk-wise (``tolist`` per block) so even a
-        million-access mmap'd trace never materializes all objects at
-        once.
-        """
-        vpn, is_write, think = self.vpn, self.is_write, self.think_ns_col
-        chunk = 8192
-        for start in range(0, len(vpn), chunk):
-            stop = start + chunk
-            for page, write, think_ns in zip(
-                vpn[start:stop].tolist(),
-                is_write[start:stop].tolist(),
-                think[start:stop].tolist(),
-            ):
-                yield PageAccess(vpn=page, is_write=write, think_ns=think_ns)
 
     def columns(self):
         """The raw ``(vpn, is_write, think_ns)`` arrays (analysis input)."""

@@ -1,6 +1,6 @@
 """Synthetic workload traces standing in for the paper's applications."""
 
-from repro.workloads.base import Workload, materialize_trace
+from repro.workloads.base import Workload, materialize_columns
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.mixer import burst_interleave, weighted_choice
 from repro.workloads.numpy_matmul import NumpyMatmulWorkload
@@ -13,7 +13,7 @@ from repro.workloads.patterns import (
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.segments import SegmentMixWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "PhasedWorkload",
     "PowerGraphWorkload",
     "RandomWorkload",
-    "RecordedWorkload",
     "SegmentMixWorkload",
     "SequentialWorkload",
     "StrideWorkload",
@@ -31,7 +30,7 @@ __all__ = [
     "ZipfianWorkload",
     "burst_interleave",
     "load_trace",
-    "materialize_trace",
+    "materialize_columns",
     "save_trace",
     "weighted_choice",
 ]

@@ -1,26 +1,59 @@
 """Workload interface and trace utilities.
 
-A workload is a reproducible generator of :class:`PageAccess` items
-over a working set of ``wss_pages`` virtual pages.  Workloads carry the
-metadata the benchmarks need: how many accesses they will emit, how
-many application-level *operations* those accesses represent (for the
-throughput figures), and the think time separating accesses (the
-compute/memory-touch ratio that turns fault latency into application
-slowdown).
+A workload is a reproducible generator of columnar access blocks
+(:class:`~repro.kernel.AccessBlock`: ``vpn``, ``is_write`` and
+``think_ns`` arrays) over a working set of ``wss_pages`` virtual pages.
+Workloads carry the metadata the benchmarks need: how many accesses
+they will emit, how many application-level *operations* those accesses
+represent (for the throughput figures), and the think time separating
+accesses (the compute/memory-touch ratio that turns fault latency into
+application slowdown).
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.sim.process import PageAccess
+import numpy as np
+
 from repro.sim.rng import SimRandom
 
-__all__ = ["Workload", "materialize_columns", "materialize_trace"]
+__all__ = ["Workload", "materialize_columns", "rechunk"]
 
 
-class Workload(abc.ABC):
+def rechunk(
+    chunks: Iterable[tuple[np.ndarray, ...]], block_size: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Regroup chunks of parallel columns into *block_size*-long ones.
+
+    Each chunk is a tuple of equal-length arrays; the yielded tuples
+    concatenate to the same columns, every one *block_size* long except
+    the last.
+    """
+    if block_size <= 0:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    buffered: list[tuple[np.ndarray, ...]] = []
+    buffered_len = 0
+    for chunk in chunks:
+        buffered.append(chunk)
+        buffered_len += len(chunk[0])
+        while buffered_len >= block_size:
+            merged = _merge(buffered)
+            yield tuple(column[:block_size] for column in merged)
+            rest = tuple(column[block_size:] for column in merged)
+            buffered_len -= block_size
+            buffered = [rest] if buffered_len else []
+    if buffered_len:
+        yield _merge(buffered)
+
+
+def _merge(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+class Workload:
     """A finite, reproducible page-access trace."""
 
     name: str
@@ -55,68 +88,50 @@ class Workload(abc.ABC):
     def total_ops(self) -> int:
         return self.total_accesses // self.accesses_per_op
 
-    @abc.abstractmethod
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        """Yield virtual page numbers (may be infinite; it is truncated)."""
+    def _columnar_vpn_blocks(
+        self, rng: SimRandom, block_size: int
+    ) -> Iterator[np.ndarray]:
+        """The generator hook: yield vpn arrays (may be infinite).
 
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        """Native vectorized vpn generation hook (may be infinite).
-
-        Patterns with a closed array form (sequential sweeps, stride
-        sweeps, inverse-transform zipfian) override this to yield numpy
-        int64 arrays concatenating to exactly the :meth:`_vpn_stream`
-        sequence — same RNG stream, same draw order, so the emitted
-        trace is bit-identical.  The default returns None, which makes
-        :meth:`columnar_blocks` fall back to packing the object stream.
+        *rng* is the workload's labelled ``vpns`` stream.  The arrays
+        are truncated to ``total_accesses``, clamped with ``%
+        wss_pages`` and regrouped into blocks by :meth:`columnar_blocks`;
+        *block_size* is only a hint for how much to draw at a time.
+        Workloads whose write flags or think times are not drawn per
+        access (KV-cache paging, open-loop arrivals, recorded traces)
+        override :meth:`columnar_blocks` instead.
         """
-        return None
+        raise NotImplementedError(f"{type(self).__name__} generates no vpn stream")
 
     def columnar_blocks(self, block_size: int | None = None):
         """The trace as struct-of-arrays blocks (what both engines read).
 
-        Yields :class:`~repro.kernel.AccessBlock` values whose columns
-        concatenate to exactly the :meth:`accesses` sequence: the same
-        labelled RNG streams are spawned in the same order ("writes"
-        before "vpns"), write flags are drawn one ``random()`` per
-        emitted access exactly when ``write_fraction > 0``, and vpns are
-        clamped with the same ``% wss_pages``.  Blocks are *block_size*
-        long except the last.
+        Yields :class:`~repro.kernel.AccessBlock` values of
+        ``total_accesses`` accesses in all: the vpns of
+        :meth:`_columnar_vpn_blocks` (drawn from the labelled ``vpns``
+        stream, spawned after ``writes``), one write-flag ``random()``
+        draw per access exactly when ``write_fraction > 0``, and the
+        constant ``think_ns``.  Blocks are *block_size* long except the
+        last.
         """
-        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, pack_blocks
+        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
 
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
         rng = SimRandom(self.seed, f"workload/{self.name}")
         write_rng = rng.spawn("writes")
         native = self._columnar_vpn_blocks(rng.spawn("vpns"), block_size)
-        if native is None:
-            yield from pack_blocks(self.accesses(), block_size)
-            return
-        import numpy as np
-
         wss = self.wss_pages
         think = self.think_ns
         wf = self.write_fraction
 
-        def make_block(arr: "np.ndarray") -> AccessBlock:
-            n = len(arr)
-            if wf > 0.0:
-                writes = write_rng.random_array(n) < wf
-            else:
-                writes = np.zeros(n, dtype=np.bool_)
-            return AccessBlock(
-                vpn=(arr % wss).astype(np.int64, copy=False),
-                is_write=writes,
-                think_ns=np.full(n, think, dtype=np.int64),
-            )
-
-        def truncated() -> Iterator["np.ndarray"]:
+        def truncated() -> Iterator[tuple[np.ndarray]]:
             remaining = self.total_accesses
             for arr in native:
                 if len(arr) > remaining:
                     arr = arr[:remaining]
                 if len(arr):
-                    yield arr
+                    yield (arr,)
                     remaining -= len(arr)
                 if remaining <= 0:
                     return
@@ -127,65 +142,27 @@ class Workload(abc.ABC):
                     f"expected {self.total_accesses}"
                 )
 
-        buffered: list = []
-        buffered_len = 0
-        for arr in truncated():
-            buffered.append(arr)
-            buffered_len += len(arr)
-            while buffered_len >= block_size:
-                merged = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-                yield make_block(merged[:block_size])
-                rest = merged[block_size:]
-                buffered = [rest] if len(rest) else []
-                buffered_len = len(rest)
-        if buffered_len:
-            merged = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-            yield make_block(merged)
-
-    def accesses(self) -> Iterator[PageAccess]:
-        """The trace: ``total_accesses`` of :class:`PageAccess`."""
-        rng = SimRandom(self.seed, f"workload/{self.name}")
-        write_rng = rng.spawn("writes")
-        emitted = 0
-        for vpn in self._vpn_stream(rng.spawn("vpns")):
-            if emitted >= self.total_accesses:
-                return
-            clamped = vpn % self.wss_pages
-            is_write = (
-                self.write_fraction > 0.0
-                and write_rng.random() < self.write_fraction
+        for (arr,) in rechunk(truncated(), block_size):
+            n = len(arr)
+            if wf > 0.0:
+                writes = write_rng.random_array(n) < wf
+            else:
+                writes = np.zeros(n, dtype=np.bool_)
+            yield AccessBlock(
+                vpn=(arr % wss).astype(np.int64, copy=False),
+                is_write=writes,
+                think_ns=np.full(n, think, dtype=np.int64),
             )
-            yield PageAccess(vpn=clamped, is_write=is_write, think_ns=self.think_ns)
-            emitted += 1
-        if emitted < self.total_accesses:
-            raise RuntimeError(
-                f"workload {self.name} exhausted after {emitted} accesses, "
-                f"expected {self.total_accesses}"
-            )
-
-
-def materialize_trace(workload: Workload) -> list[PageAccess]:
-    """Fully expand a workload (for analysis such as Figure 3).
-
-    Object form — one :class:`PageAccess` per touch.  Analysis paths
-    that only need arrays should prefer :func:`materialize_columns`,
-    which never builds the per-access objects.
-    """
-    return list(workload.accesses())
 
 
 def materialize_columns(workload: Workload):
     """The workload's full trace as ``(vpn, is_write, think_ns)`` arrays.
 
-    The columnar twin of :func:`materialize_trace`: concatenates the
-    workload's :meth:`~Workload.columnar_blocks` stream (bit-identical
-    to :meth:`~Workload.accesses` by contract) into three int64/bool
-    arrays without a per-access object detour.  Workloads that already
+    Concatenates the workload's :meth:`~Workload.columnar_blocks`
+    stream into three int64/bool/int64 arrays.  Workloads that already
     hold their columns (``ColumnarTraceWorkload``) are returned
     zero-copy via their ``columns()`` fast path.
     """
-    import numpy as np
-
     columns = getattr(workload, "columns", None)
     if columns is not None:
         return columns()

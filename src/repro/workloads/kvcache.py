@@ -15,21 +15,22 @@ tell apart.  Each request cycle:
    mostly short backward jumps, a tail of long ones).
 
 The lookup draws are the only randomness, taken from one labelled
-stream mirrored exactly by ``SimRandom.random_array``, and everything
-else is closed-form arithmetic — so :meth:`columnar_blocks` generates
-the columns natively (arange/power/mod, no per-access Python) while
-:meth:`accesses` replays the identical sequence object-by-object.  This is the flagship trace family for ``repro trace``:
-capture it at millions of accesses, replay it zero-copy, and the
-analyzer shows the three regimes as distinct regions.
+stream in batches (``SimRandom.random_array``), and everything else is
+closed-form arithmetic — so :meth:`columnar_blocks` generates the
+columns with arange/power/mod and no per-access Python.  This is the
+flagship trace family for ``repro trace``: capture it at millions of
+accesses, replay it zero-copy, and the analyzer shows the three
+regimes as distinct regions.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.sim.process import PageAccess
+import numpy as np
+
 from repro.sim.rng import SimRandom
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, rechunk
 
 __all__ = ["KVCacheWorkload"]
 
@@ -71,21 +72,14 @@ class KVCacheWorkload(Workload):
         self.lookups_per_append = lookups_per_append
         self.recency_skew = recency_skew
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        """Unreachable by design: the write flags are phase-determined
-        (appends write, reads don't), so both replay paths emit
-        complete accesses from :meth:`_segments` directly."""
-        raise NotImplementedError("KVCacheWorkload overrides accesses()")
-
     def _segments(self) -> Iterator[tuple]:
-        """The deterministic request-cycle skeleton, shared verbatim by
-        both replay paths.
+        """The deterministic request-cycle skeleton.
 
         Yields ``("seq", start, length, is_write)`` runs and
-        ``("lookup", count, avail, written)`` markers (the draws happen
-        in the consumer, so each path can batch them its own way).
-        ``written`` counts appended pages monotonically; the append ring
-        occupies ``[hot_pages, wss_pages)``.
+        ``("lookup", count, avail, written)`` markers (the consumer
+        makes the draws).  ``written`` counts appended pages
+        monotonically; the append ring occupies ``[hot_pages,
+        wss_pages)``.
         """
         hot = self.hot_pages
         ring = self.ring_pages
@@ -102,48 +96,14 @@ class KVCacheWorkload(Workload):
             if self.lookups_per_append:
                 yield ("lookup", self.lookups_per_append, min(written, ring), written)
 
-    def accesses(self) -> Iterator[PageAccess]:
-        rng = SimRandom(self.seed, f"workload/{self.name}")
-        draw = rng.spawn("lookups")
-        hot = self.hot_pages
-        ring = self.ring_pages
-        skew = self.recency_skew
-        think = self.think_ns
-        emitted = 0
-        total = self.total_accesses
-        for segment in self._segments():
-            if segment[0] == "seq":
-                _, start, length, is_write = segment
-                for step in range(min(length, total - emitted)):
-                    yield PageAccess(
-                        vpn=start + step, is_write=is_write, think_ns=think
-                    )
-                emitted += min(length, total - emitted)
-            else:
-                _, count, avail, written = segment
-                for _ in range(min(count, total - emitted)):
-                    offset = int(avail * draw.random() ** skew)
-                    if offset >= avail:
-                        offset = avail - 1
-                    yield PageAccess(
-                        vpn=hot + (written - 1 - offset) % ring,
-                        is_write=False,
-                        think_ns=think,
-                    )
-                emitted += min(count, total - emitted)
-            if emitted >= total:
-                return
-
     def columnar_blocks(self, block_size: int | None = None):
-        """Native columnar generation: arange runs + batched draws.
+        """Columnar generation: arange runs + batched lookup draws.
 
-        Mirrors :meth:`accesses` bit-exactly — the same segment
-        skeleton, lookup draws batched through
-        ``SimRandom.random_array`` (the per-call ``random()`` mirror),
-        and the identical float64 power/truncate arithmetic.
+        Appends write and every other access reads, so the write flags
+        come from the segment skeleton rather than per-access draws;
+        the lookup offsets are ``⌊avail · u^recency_skew⌋`` on uniform
+        draws batched through ``SimRandom.random_array``.
         """
-        import numpy as np
-
         from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
 
         if block_size is None:
@@ -155,7 +115,7 @@ class KVCacheWorkload(Workload):
         skew = self.recency_skew
         think = self.think_ns
 
-        def columns() -> Iterator[tuple]:
+        def columns() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             remaining = self.total_accesses
             for segment in self._segments():
                 if segment[0] == "seq":
@@ -177,34 +137,9 @@ class KVCacheWorkload(Workload):
                 if remaining <= 0:
                     return
 
-        vpn_buf: list = []
-        write_buf: list = []
-        buffered = 0
-
-        def merge(parts: list, size: int):
-            merged = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            return merged[:size], merged[size:]
-
-        for vpn, writes in columns():
-            vpn_buf.append(vpn)
-            write_buf.append(writes)
-            buffered += len(vpn)
-            while buffered >= block_size:
-                head_vpn, rest_vpn = merge(vpn_buf, block_size)
-                head_writes, rest_writes = merge(write_buf, block_size)
-                yield AccessBlock(
-                    vpn=head_vpn,
-                    is_write=head_writes,
-                    think_ns=np.full(block_size, think, dtype=np.int64),
-                )
-                vpn_buf = [rest_vpn] if len(rest_vpn) else []
-                write_buf = [rest_writes] if len(rest_writes) else []
-                buffered = len(rest_vpn)
-        if buffered:
-            tail_vpn, _ = merge(vpn_buf, buffered)
-            tail_writes, _ = merge(write_buf, buffered)
+        for vpn, writes in rechunk(columns(), block_size):
             yield AccessBlock(
-                vpn=tail_vpn,
-                is_write=tail_writes,
-                think_ns=np.full(buffered, think, dtype=np.int64),
+                vpn=vpn,
+                is_write=writes,
+                think_ns=np.full(len(vpn), think, dtype=np.int64),
             )

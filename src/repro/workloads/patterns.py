@@ -8,7 +8,7 @@ extremes the application traces mix in.
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
 from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
@@ -26,13 +26,7 @@ class SequentialWorkload(Workload):
 
     name = "sequential"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        while True:
-            yield from range(self.wss_pages)
-
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        import numpy as np
-
         sweep = np.arange(self.wss_pages, dtype=np.int64)
         while True:
             yield sweep
@@ -59,25 +53,12 @@ class StrideWorkload(Workload):
         self.stride = stride
         self.name = f"stride-{stride}"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        phase = 0
-        position = 0
-        while True:
-            yield position
-            position += self.stride
-            if position >= self.wss_pages:
-                phase = (phase + 1) % self.stride
-                position = phase
-
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        import numpy as np
-
         wss, stride = self.wss_pages, self.stride
         phase = 0
         while True:
-            # One sweep starting at `phase`; when the start itself is
-            # past the region (stride > wss), the object loop still
-            # yields it once before wrapping.
+            # One sweep starting at `phase`; a start past the region
+            # (stride > wss) is still visited once before wrapping.
             if phase < wss:
                 yield np.arange(phase, wss, stride, dtype=np.int64)
             else:
@@ -90,16 +71,9 @@ class RandomWorkload(Workload):
 
     name = "random"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        while True:
-            yield rng.randrange(self.wss_pages)
-
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        # Uniform draws cannot be vectorized bit-exactly (they come
-        # from Python's Mersenne Twister), but batching them into
-        # arrays still skips per-access object construction.
-        import numpy as np
-
+        # randrange draws cannot be vectorized bit-exactly (they come
+        # from Python's Mersenne Twister), so they are batched instead.
         wss = self.wss_pages
         randrange = rng.randrange
         while True:
@@ -123,21 +97,11 @@ class ZipfianWorkload(Workload):
             raise ValueError(f"skew must be positive, got {skew}")
         self.skew = skew
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        # Scatter ranks across the address space so popularity does not
-        # correlate with address adjacency.
-        scatter = list(range(self.wss_pages))
-        rng.spawn("scatter").shuffle(scatter)
-        draw = rng.spawn("zipf")
-        while True:
-            yield scatter[draw.zipf(self.wss_pages, self.skew)]
-
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        # Same spawn order and uniform draws as _vpn_stream; only the
-        # inverse-transform lookup is vectorized, and searchsorted on
-        # the float64 CDF computes the identical bisect_left index.
-        import numpy as np
-
+        # Ranks are scattered across the address space so popularity
+        # does not correlate with address adjacency.  The uniform draws
+        # are SimRandom.zipf's; searchsorted on the float64 CDF computes
+        # its bisect_left index.
         from repro.sim.rng import _zipf_cdf
 
         wss = self.wss_pages

@@ -34,7 +34,10 @@ Phase dicts are JSON-shaped, so a phased tenant round-trips through
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
@@ -51,59 +54,27 @@ PHASE_KINDS = (
 )
 
 
-def _phase_stream(
+def _drawn_phase_stream(
     phase: Mapping, wss_pages: int, rng: SimRandom
 ) -> Iterator[int]:
-    """Infinite page stream for one phase spec."""
-    kind = phase["kind"]
-    if kind == "sequential":
-        while True:
-            yield from range(wss_pages)
-    elif kind == "noisy-sequential":
-        noise = float(phase.get("noise", 0.3))
-        if not 0.0 <= noise < 1.0:
-            raise ValueError(f"noise must be in [0, 1), got {noise}")
-        position = 0
-        while True:
-            if rng.random() < noise:
-                yield rng.randrange(wss_pages)
-            else:
-                yield position
-                position = (position + 1) % wss_pages
-    elif kind == "stride":
-        stride = int(phase.get("stride", 10))
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
-        offset = 0
-        position = 0
-        while True:
-            yield position
-            position += stride
-            if position >= wss_pages:
-                offset = (offset + 1) % stride
-                position = offset
-    elif kind == "random":
+    """Infinite page stream of a ``noisy-sequential`` or ``random`` phase.
+
+    These kinds pick each page by a per-draw branch, so they have no
+    closed array form and are generated one draw at a time.
+    """
+    if phase["kind"] == "random":
         while True:
             yield rng.randrange(wss_pages)
-    elif kind == "zipfian":
-        skew = float(phase.get("skew", 0.99))
-        scatter = list(range(wss_pages))
-        rng.spawn("scatter").shuffle(scatter)
-        draw = rng.spawn("zipf")
-        while True:
-            yield scatter[draw.zipf(wss_pages, skew)]
-    elif kind == "permloop":
-        loop_pages = int(phase.get("loop_pages", wss_pages))
-        if not 2 <= loop_pages <= wss_pages:
-            raise ValueError(
-                f"loop_pages must be in [2, wss_pages={wss_pages}], got {loop_pages}"
-            )
-        order = list(range(loop_pages))
-        rng.spawn("perm").shuffle(order)
-        while True:
-            yield from order
-    else:
-        raise ValueError(f"unknown phase kind {kind!r} (choose from {PHASE_KINDS})")
+    noise = float(phase.get("noise", 0.3))
+    if not 0.0 <= noise < 1.0:
+        raise ValueError(f"noise must be in [0, 1), got {noise}")
+    position = 0
+    while True:
+        if rng.random() < noise:
+            yield rng.randrange(wss_pages)
+        else:
+            yield position
+            position = (position + 1) % wss_pages
 
 
 class PhasedWorkload(Workload):
@@ -148,24 +119,15 @@ class PhasedWorkload(Workload):
         self.phase_accesses[-1] += total_accesses - sum(self.phase_accesses)
         self.name = "phased/" + "+".join(phase["kind"] for phase in self.phases)
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        for index, (phase, count) in enumerate(zip(self.phases, self.phase_accesses)):
-            stream = _phase_stream(phase, self.wss_pages, rng.spawn(f"phase{index}"))
-            for _ in range(count):
-                yield next(stream)
-
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        """Per-phase native arrays, spawning ``phase{i}`` streams in
-        the same order as :meth:`_vpn_stream`.
+        """Per-phase arrays, each phase on its own ``phase{i}`` stream.
 
         Deterministic kinds (sequential, stride, permloop) emit closed
-        arrays; the stochastic kinds draw from the identical per-phase
-        RNG through the object stream, batched with ``fromiter`` —
-        either way each phase contributes exactly its access share.
+        arrays, zipfian inverts its CDF on batched uniform draws, and
+        noisy-sequential/random batch their per-draw stream with
+        ``fromiter`` — either way each phase contributes exactly its
+        access share.
         """
-        import numpy as np
-        from itertools import islice
-
         from repro.sim.rng import _zipf_cdf
 
         wss = self.wss_pages
@@ -224,9 +186,7 @@ class PhasedWorkload(Workload):
                     yield scatter_arr[ranks]
                     remaining -= chunk
             else:
-                # noisy-sequential / random: per-draw control flow with
-                # no closed form; batch the object stream itself.
-                stream = _phase_stream(phase, wss, phase_rng)
+                stream = _drawn_phase_stream(phase, wss, phase_rng)
                 while remaining > 0:
                     chunk = min(remaining, block_size)
                     yield np.fromiter(islice(stream, chunk), np.int64, count=chunk)

@@ -14,6 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator
 
+import numpy as np
+
 from repro.sim.rng import SimRandom, _zipf_cdf
 from repro.workloads.base import Workload
 from repro.workloads.mixer import burst_interleave, weighted_choice
@@ -225,12 +227,12 @@ class SegmentMixWorkload(Workload):
     def _vpn_chunks(self, rng: SimRandom) -> Iterator[list[int]]:
         """The infinite vpn stream as a sequence of list chunks.
 
-        The one generator behind both :meth:`_vpn_stream` and
-        :meth:`_columnar_vpn_blocks`.  With phase correlation the phase
-        changes after a drawn number of merged-stream accesses, and a
-        thread reads it at each segment start; the interleaver reports
-        where each segment starts, so the phase is advanced to exactly
-        that access before the segment is drawn.
+        :meth:`_columnar_vpn_blocks` packs these into arrays.  With
+        phase correlation the phase changes after a drawn number of
+        merged-stream accesses, and a thread reads it at each segment
+        start; the interleaver reports where each segment starts, so
+        the phase is advanced to exactly that access before the segment
+        is drawn.
         """
         phase: list[tuple[str, int]] | None = None
         phase_rng = rng.spawn("phase")
@@ -268,13 +270,7 @@ class SegmentMixWorkload(Workload):
             yield segment
             position += len(segment)
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        for chunk in self._vpn_chunks(rng):
-            yield from chunk
-
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        import numpy as np
-
         buffered: list[int] = []
         for chunk in self._vpn_chunks(rng):
             buffered += chunk

@@ -18,19 +18,22 @@ trivial so external tools (awk, pandas) can produce it.
 
 The metadata line follows the v2 container's rules: ``wss_pages`` is
 required and at least 1, ``count`` (optional — external files may omit
-it) at least 1, and ``think_ns`` at least 0.
+it) at least 1, and ``think_ns`` at least 0.  :func:`load_trace` parses
+the body straight into columns and replays it through the same
+:class:`~repro.trace.format.ColumnarTraceWorkload` as a v2 file.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-from repro.sim.process import PageAccess
-from repro.workloads.base import Workload
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.trace.format import ColumnarTraceWorkload
 
 __all__ = [
-    "RecordedWorkload",
     "TraceFormatError",
     "load_trace",
     "read_v1_header",
@@ -46,16 +49,18 @@ class TraceFormatError(ValueError):
 
 def save_trace(
     path: str | Path,
-    accesses: Iterable[PageAccess],
+    accesses: Iterable[tuple[int, bool, int]],
     wss_pages: int,
     think_ns: int = 0,
     name: str = "recorded",
 ) -> int:
     """Write a trace file; returns the number of accesses written.
 
-    *think_ns* is the default think time recorded in the header; an
-    access whose ``think_ns`` differs is written with an explicit
-    ``,t<ns>`` suffix so nothing is lost in the round trip.  The header
+    *accesses* yields ``(vpn, is_write, think_ns)`` tuples (a
+    :class:`~repro.sim.process.PageAccess` is one).  *think_ns* is the
+    default think time recorded in the header; an access whose think
+    time differs is written with an explicit ``,t<ns>`` suffix so
+    nothing is lost in the round trip.  The header
     records the access ``count``, which :func:`load_trace` checks — a
     truncated or padded file fails loudly instead of replaying short.
     """
@@ -71,12 +76,12 @@ def save_trace(
             f"# wss_pages={wss_pages} think_ns={think_ns} "
             f"count={len(items)} name={name}\n"
         )
-        for access in items:
-            parts = [str(access.vpn)]
-            if access.is_write:
+        for vpn, is_write, think in items:
+            parts = [str(vpn)]
+            if is_write:
                 parts.append("w")
-            if access.think_ns != think_ns:
-                parts.append(f"t{access.think_ns}")
+            if think != think_ns:
+                parts.append(f"t{think}")
             handle.write(",".join(parts) + "\n")
     return len(items)
 
@@ -125,12 +130,12 @@ def read_v1_header(path: Path, handle) -> dict:
 
 def _parse_access(
     path: Path, line_number: int, line: str, default_think_ns: int
-) -> PageAccess:
+) -> tuple[int, bool, int]:
     vpn_text, _, rest = line.partition(",")
     try:
         vpn = int(vpn_text)
-    except ValueError as error:
-        raise ValueError(f"{path}:{line_number}: bad vpn {vpn_text!r}") from error
+    except ValueError:
+        raise TraceFormatError(f"{path}:{line_number}: bad vpn {vpn_text!r}") from None
     is_write = False
     think_ns = default_think_ns
     for flag in rest.split(",") if rest else ():
@@ -139,111 +144,61 @@ def _parse_access(
         elif flag.startswith("t"):
             try:
                 think_ns = int(flag[1:])
-            except ValueError as error:
-                raise ValueError(
+            except ValueError:
+                raise TraceFormatError(
                     f"{path}:{line_number}: bad think flag {flag!r}"
-                ) from error
+                ) from None
             if think_ns < 0:
-                raise ValueError(
+                raise TraceFormatError(
                     f"{path}:{line_number}: negative think time {flag!r}"
                 )
         else:
-            raise ValueError(f"{path}:{line_number}: unknown flag {flag!r}")
-    return PageAccess(vpn=vpn, is_write=is_write, think_ns=think_ns)
+            raise TraceFormatError(f"{path}:{line_number}: unknown flag {flag!r}")
+    return vpn, is_write, think_ns
 
 
-def load_trace(path: str | Path) -> "RecordedWorkload":
-    """Load a trace file into a replayable workload."""
+def load_trace(path: str | Path) -> "ColumnarTraceWorkload":
+    """Load a v1 trace file into a replayable columnar workload.
+
+    Every malformed body — a bad vpn or flag, a negative think time, a
+    count that disagrees with the header, no accesses at all, or a vpn
+    outside ``wss_pages`` — raises :class:`TraceFormatError` naming the
+    file (and the line, where there is one).
+    """
+    from repro.trace.format import ColumnarTraceWorkload
+
     path = Path(path)
+    vpns: list[int] = []
+    writes: list[bool] = []
+    thinks: list[int] = []
     with path.open("r", encoding="utf-8") as handle:
         metadata = read_v1_header(path, handle)
         think_ns = metadata["think_ns"]
-        accesses: list[PageAccess] = []
         for line_number, line in enumerate(handle, start=3):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            accesses.append(_parse_access(path, line_number, line, think_ns))
-    if not accesses:
-        raise ValueError(f"{path}: trace holds no accesses")
+            vpn, is_write, think = _parse_access(path, line_number, line, think_ns)
+            vpns.append(vpn)
+            writes.append(is_write)
+            thinks.append(think)
+    if not vpns:
+        raise TraceFormatError(f"{path}: trace holds no accesses")
     declared = metadata["count"]
-    if declared is not None and len(accesses) != declared:
-        kind = "truncated" if len(accesses) < declared else "padded"
-        raise ValueError(
+    if declared is not None and len(vpns) != declared:
+        kind = "truncated" if len(vpns) < declared else "padded"
+        raise TraceFormatError(
             f"{path}: {kind} trace — header declares count={declared} "
-            f"but the file holds {len(accesses)} accesses"
+            f"but the file holds {len(vpns)} accesses"
         )
-    return RecordedWorkload(
-        accesses_list=accesses,
-        wss_pages=metadata["wss_pages"],
-        think_ns=think_ns,
-        name=metadata["name"],
-    )
-
-
-class RecordedWorkload(Workload):
-    """A workload that replays a fixed, previously recorded trace."""
-
-    def __init__(
-        self,
-        accesses_list: list[PageAccess],
-        wss_pages: int,
-        think_ns: int = 0,
-        name: str = "recorded",
-    ) -> None:
-        super().__init__(
-            wss_pages=wss_pages,
-            total_accesses=len(accesses_list),
+    try:
+        return ColumnarTraceWorkload(
+            np.array(vpns, dtype=np.int64),
+            np.array(writes, dtype=np.bool_),
+            np.array(thinks, dtype=np.int64),
+            wss_pages=metadata["wss_pages"],
             think_ns=think_ns,
+            name=metadata["name"],
         )
-        self.name = name
-        for access in accesses_list:
-            if not 0 <= access.vpn < wss_pages:
-                raise ValueError(
-                    f"trace access vpn {access.vpn} outside wss {wss_pages}"
-                )
-        self._accesses = accesses_list
-
-    def _vpn_stream(self, rng) -> Iterator[int]:
-        """Unreachable by design: :meth:`accesses` replays the trace
-        directly (the base generator would re-draw write flags and
-        think times, corrupting the recording)."""
-        raise NotImplementedError("RecordedWorkload overrides accesses()")
-
-    def accesses(self) -> Iterator[PageAccess]:
-        return iter(self._accesses)
-
-    def columnar_blocks(self, block_size: int | None = None):
-        """Columnar replay: the stored accesses packed once and cached.
-
-        A recording is already fully materialized, so there is no RNG
-        stream to mirror — the columns are built straight from the
-        stored list (write flags and per-access think times included)
-        and reused across replays of the same workload object.
-        """
-        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
-
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        cached = getattr(self, "_columnar_cache", None)
-        if cached is None or cached[0] != block_size:
-            import numpy as np
-
-            blocks = []
-            items = self._accesses
-            for start in range(0, len(items), block_size):
-                chunk = items[start : start + block_size]
-                blocks.append(
-                    AccessBlock(
-                        vpn=np.array([a.vpn for a in chunk], dtype=np.int64),
-                        is_write=np.array(
-                            [a.is_write for a in chunk], dtype=np.bool_
-                        ),
-                        think_ns=np.array(
-                            [a.think_ns for a in chunk], dtype=np.int64
-                        ),
-                    )
-                )
-            cached = (block_size, blocks)
-            self._columnar_cache = cached
-        return iter(cached[1])
+    except (ValueError, OverflowError) as error:
+        raise TraceFormatError(f"{path}: {error}") from None

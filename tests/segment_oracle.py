@@ -4,9 +4,10 @@ The workload emits its trace in per-segment and per-burst chunks; this
 module keeps the original one-vpn-at-a-time generators (nested
 per-thread segment streams, a per-access burst interleaver, a shared
 phase cell updated after every access) as the oracle the chunked
-streams are checked against.  :func:`oracle_accesses` reproduces
-:meth:`Workload.accesses` on top of them, so both the object stream and
-the columnar blocks of a workload must equal it access for access.
+streams are checked against.  :func:`oracle_accesses` clamps those vpns
+and draws write flags one access at a time, as
+:func:`workload_oracle.accesses` does for the other workloads, so the
+columnar blocks of a workload must equal it access for access.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def oracle_vpn_stream(workload: SegmentMixWorkload, rng: SimRandom) -> Iterator[
 
 
 def oracle_accesses(workload: SegmentMixWorkload) -> Iterator[PageAccess]:
-    """:meth:`Workload.accesses` over the per-access oracle stream."""
+    """The workload's trace, one access at a time over the oracle stream."""
     rng = SimRandom(workload.seed, f"workload/{workload.name}")
     write_rng = rng.spawn("writes")
     vpns = oracle_vpn_stream(workload, rng.spawn("vpns"))

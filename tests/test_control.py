@@ -27,6 +27,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.sim.machine import Machine, leap_config
+from repro.workloads.base import materialize_columns
 from repro.workloads.patterns import SequentialWorkload
 from repro.workloads.phased import PhasedWorkload
 
@@ -493,13 +494,13 @@ class TestPhasedWorkload:
         )
         assert workload.phase_accesses == [250, 750]
         assert sum(workload.phase_accesses) == 1_000
-        assert len(list(workload.accesses())) == 1_000
+        assert len(materialize_columns(workload)[0]) == 1_000
 
     def test_permloop_repeats_a_permutation(self):
         workload = PhasedWorkload(
             64, 128, phases=[{"kind": "permloop", "loop_pages": 32}]
         )
-        vpns = [access.vpn for access in workload.accesses()]
+        vpns = materialize_columns(workload)[0].tolist()
         lap = vpns[:32]
         assert sorted(lap) == list(range(32))  # a permutation...
         assert lap != list(range(32))  # ...not the identity
@@ -513,7 +514,7 @@ class TestPhasedWorkload:
                 phases=[{"kind": "noisy-sequential", "noise": 0.3}, {"kind": "random"}],
                 seed=seed,
             )
-            return [access.vpn for access in workload.accesses()]
+            return materialize_columns(workload)[0].tolist()
 
         assert trace(1) == trace(1)
         assert trace(1) != trace(2)
@@ -529,7 +530,7 @@ class TestPhasedWorkload:
             list(
                 PhasedWorkload(
                     64, 100, phases=[{"kind": "permloop", "loop_pages": 1_000}]
-                ).accesses()
+                ).columnar_blocks()
             )
 
 

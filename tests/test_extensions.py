@@ -7,7 +7,9 @@ from repro.prefetchers.ghb import GHBPrefetcher
 from repro.sim.process import PageAccess
 from repro.sim.simulate import simulate
 from repro.workloads.patterns import StrideWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import TraceFormatError, load_trace, save_trace
+
+from test_kernel import access_tuples
 
 PID = 1
 
@@ -123,7 +125,7 @@ class TestTraceIO:
         written = save_trace(path, trace, wss_pages=16, think_ns=500)
         assert written == 3
         workload = load_trace(path)
-        replayed = list(workload.accesses())
+        replayed = access_tuples(workload)
         # The round trip is exact: vpn, write flag, and think time all
         # survive (accesses matching the header default stay compact).
         assert replayed == trace
@@ -133,16 +135,14 @@ class TestTraceIO:
     def test_recorded_workload_from_generator(self, tmp_path):
         source = StrideWorkload(256, 500, stride=3, seed=8, think_ns=100)
         path = tmp_path / "stride.trace"
-        save_trace(path, source.accesses(), wss_pages=256, think_ns=100)
+        save_trace(path, access_tuples(source), wss_pages=256, think_ns=100)
         replay = load_trace(path)
-        assert [a.vpn for a in replay.accesses()] == [
-            a.vpn for a in source.accesses()
-        ]
+        assert access_tuples(replay) == access_tuples(source)
 
     def test_replay_through_simulator(self, tmp_path):
         source = StrideWorkload(256, 800, stride=5, seed=8, think_ns=1_000)
         path = tmp_path / "replay.trace"
-        save_trace(path, source.accesses(), wss_pages=256, think_ns=1_000)
+        save_trace(path, access_tuples(source), wss_pages=256, think_ns=1_000)
         workload = load_trace(path)
         machine = Leap().build_machine(seed=8)
         result = simulate(machine, {1: workload}, memory_fraction=0.5)
@@ -151,21 +151,23 @@ class TestTraceIO:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("not a trace\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceFormatError, match="not a repro trace"):
             load_trace(path)
 
     def test_bad_vpn_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\nbanana\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceFormatError, match=r"bad\.trace:3: bad vpn 'banana'"):
             load_trace(path)
 
     def test_empty_trace_rejected(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceFormatError, match=r"empty\.trace: trace holds no accesses"):
             load_trace(path)
 
-    def test_out_of_range_vpn_rejected(self):
-        with pytest.raises(ValueError):
-            RecordedWorkload([PageAccess(vpn=99)], wss_pages=4)
+    def test_out_of_range_vpn_rejected(self, tmp_path):
+        path = tmp_path / "oob.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n99\n")
+        with pytest.raises(TraceFormatError, match=r"oob\.trace: .*outside wss 4"):
+            load_trace(path)

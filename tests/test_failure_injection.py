@@ -11,7 +11,7 @@ import pytest
 
 from repro.rdma.agent import RemotePageLostError
 from repro.sim.machine import Machine, leap_config
-from repro.sim.process import ProcessDriver
+from repro.sim.process import make_driver
 from repro.sim.run import warmup_process
 from repro.sim.scheduler import run_processes
 from repro.workloads.patterns import StrideWorkload
@@ -33,7 +33,7 @@ def build_machine(replication=True, seed=21):
 
 def drive(machine, accesses=4_000):
     workload = StrideWorkload(2_048, accesses, stride=10, seed=21, think_ns=2_000)
-    driver = ProcessDriver(1, workload.accesses())
+    driver = make_driver(1, workload, engine="object")
     return run_processes(machine, [driver])
 
 
@@ -72,7 +72,7 @@ class TestFailover:
         # reservations did not grow.
         reserved_before = machine.host_agent.remote_agents[victim_id].reserved_pages
         drive_more = StrideWorkload(2_048, 2_000, stride=10, seed=22, think_ns=2_000)
-        driver = ProcessDriver(1, drive_more.accesses())
+        driver = make_driver(1, drive_more, engine="object")
         run_processes(machine, [driver])
         assert (
             machine.host_agent.remote_agents[victim_id].reserved_pages

@@ -6,7 +6,9 @@ latencies, same LRU orders, same dirty bits, same metrics, for every
 run entry point.  These tests pin that promise at three levels:
 
 * columnar generation — every workload's ``columnar_blocks()`` stream
-  concatenates to exactly its ``accesses()`` stream;
+  concatenates to exactly its per-access oracle
+  (:mod:`workload_oracle`), on hand-picked and generated
+  configurations;
 * primitive batch ops — ``SimRandom.random_array`` and the kernel's
   resident-run collapse (``_apply_resident_run``) match their scalar
   counterparts draw for draw;
@@ -29,21 +31,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import FailureEvent
 from repro.datapath.pipeline import FaultPipeline
-from repro.kernel import AccessBlock, ColumnarCursor, pack_blocks
+from repro.kernel import AccessBlock, ColumnarCursor
 from repro.kernel.vectorized import _apply_resident_run
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page_table import PageTable
 from repro.sim.machine import ENGINES, Machine, cluster_config, leap_config
-from repro.sim.process import PageAccess, ProcessDriver, make_driver
+from repro.sim.process import ProcessDriver, make_driver
 from repro.sim.rng import SimRandom
 from repro.sim.run import warmup_process
 from repro.sim.simulate import simulate
 from repro.workloads.base import Workload
+from repro.workloads.kvcache import KVCacheWorkload
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.numpy_matmul import NumpyMatmulWorkload
 from repro.workloads.patterns import (
@@ -52,14 +55,16 @@ from repro.workloads.patterns import (
     StrideWorkload,
     ZipfianWorkload,
 )
-from repro.workloads.phased import PhasedWorkload
+from repro.workloads.phased import PHASE_KINDS, PhasedWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
-from repro.workloads.trace_io import RecordedWorkload
+from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
+
+from workload_oracle import oracle_accesses
 
 
 # ---------------------------------------------------------------------------
-# Columnar generation: blocks concatenate to exactly the object stream.
+# Columnar generation: blocks concatenate to exactly the per-access oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -72,8 +77,13 @@ def unpack(workload: Workload, block_size: int):
     return vpns, writes, thinks
 
 
+def access_tuples(workload: Workload, block_size: int | None = None) -> list:
+    """The workload's trace as ``(vpn, is_write, think_ns)`` tuples."""
+    return list(zip(*unpack(workload, block_size)))
+
+
 def assert_streams_match(workload: Workload, block_size: int) -> None:
-    expected = list(workload.accesses())
+    expected = list(oracle_accesses(workload))
     vpns, writes, thinks = unpack(workload, block_size)
     assert vpns == [a.vpn for a in expected]
     assert writes == [a.is_write for a in expected]
@@ -94,6 +104,67 @@ ALL_PHASE_WORKLOAD = PhasedWorkload(
     seed=9,
     write_fraction=0.3,
 )
+
+
+@st.composite
+def phase_specs(draw, wss: int) -> dict:
+    kinds = [kind for kind in PHASE_KINDS if kind != "permloop" or wss >= 2]
+    phase: dict = {"kind": draw(st.sampled_from(kinds))}
+    if draw(st.booleans()):
+        phase["fraction"] = draw(st.sampled_from([0.05, 0.5, 1.0, 3.0]))
+    if phase["kind"] == "noisy-sequential" and draw(st.booleans()):
+        phase["noise"] = draw(st.sampled_from([0.0, 0.25, 0.9]))
+    elif phase["kind"] == "stride" and draw(st.booleans()):
+        phase["stride"] = draw(st.integers(min_value=1, max_value=wss + 5))
+    elif phase["kind"] == "zipfian" and draw(st.booleans()):
+        phase["skew"] = draw(st.sampled_from([0.5, 1.1, 2.5]))
+    elif phase["kind"] == "permloop" and draw(st.booleans()):
+        phase["loop_pages"] = draw(st.integers(min_value=2, max_value=wss))
+    return phase
+
+
+@st.composite
+def generated_workloads(draw) -> Workload:
+    """One of the six directly generated workload kinds, any shape.
+
+    Covers traces shorter than the working set, strides longer than
+    it, write fractions of zero and above, every phase kind, and the
+    KV-cache ring parameters.
+    """
+    kind = draw(
+        st.sampled_from(["sequential", "stride", "random", "zipfian", "phased", "kvcache"])
+    )
+    wss = draw(st.integers(min_value=2 if kind == "kvcache" else 1, max_value=300))
+    common = {
+        "seed": draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        "think_ns": draw(st.sampled_from([0, 1_000])),
+        "write_fraction": draw(st.sampled_from([0.0, 0.3, 1.0])),
+    }
+    total = draw(st.integers(min_value=1, max_value=1_500))
+    if kind == "sequential":
+        return SequentialWorkload(wss, total, **common)
+    if kind == "stride":
+        stride = draw(st.integers(min_value=1, max_value=2 * wss + 3))
+        return StrideWorkload(wss, total, stride=stride, **common)
+    if kind == "random":
+        return RandomWorkload(wss, total, **common)
+    if kind == "zipfian":
+        skew = draw(st.sampled_from([0.3, 0.99, 1.2, 3.0]))
+        return ZipfianWorkload(wss, total, skew=skew, **common)
+    if kind == "phased":
+        phases = draw(st.lists(phase_specs(wss), min_size=1, max_size=4))
+        return PhasedWorkload(wss, total, phases=phases, **common)
+    hot_fraction = draw(st.sampled_from([0.01, 0.125, 0.5, 0.9]))
+    assume(max(1, int(wss * hot_fraction)) < wss)
+    return KVCacheWorkload(
+        wss,
+        total,
+        hot_fraction=hot_fraction,
+        append_pages=draw(st.integers(min_value=1, max_value=40)),
+        lookups_per_append=draw(st.integers(min_value=0, max_value=60)),
+        recency_skew=draw(st.sampled_from([0.5, 2.0, 3.5])),
+        **common,
+    )
 
 
 class TestColumnarBlocks:
@@ -120,25 +191,31 @@ class TestColumnarBlocks:
     def test_blocks_equal_object_stream(self, workload, block_size):
         assert_streams_match(workload, block_size)
 
-    def test_recorded_workload_round_trip(self):
-        accesses = [
-            PageAccess(vpn=v % 13, is_write=v % 3 == 0, think_ns=100 + v)
-            for v in range(40)
-        ]
-        workload = RecordedWorkload(accesses, wss_pages=13, think_ns=100)
-        assert_streams_match(workload, 16)
-        # Replay twice: the cached columns must not consume state.
-        assert_streams_match(workload, 16)
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(workload=generated_workloads())
+    def test_generated_configurations_equal_oracle(self, workload):
+        expected = [tuple(access) for access in oracle_accesses(workload)]
+        assert len(expected) == workload.total_accesses
+        for block_size in (1, 7, 8192):
+            blocks = list(workload.columnar_blocks(block_size))
+            # Every block is block_size long except the last.
+            assert all(len(block) == block_size for block in blocks[:-1])
+            assert [
+                access
+                for block in blocks
+                for access in zip(
+                    block.vpn.tolist(), block.is_write.tolist(), block.think_ns.tolist()
+                )
+            ] == expected
 
-    def test_pack_blocks_generic_packer(self):
-        accesses = [
-            PageAccess(vpn=v, is_write=bool(v % 2), think_ns=v * 10)
-            for v in range(10)
-        ]
-        blocks = list(pack_blocks(iter(accesses), block_size=4))
-        assert [len(b.vpn) for b in blocks] == [4, 4, 2]
-        rebuilt = [a for b in blocks for a in b.accesses()]
-        assert rebuilt == accesses
+    def test_recorded_workload_round_trip(self, tmp_path):
+        accesses = [(v % 13, v % 3 == 0, 100 + v) for v in range(40)]
+        path = tmp_path / "t.trace"
+        save_trace(path, accesses, wss_pages=13, think_ns=100)
+        workload = load_trace(path)
+        # Replay twice: the columns must not consume state.
+        for _ in range(2):
+            assert access_tuples(workload, 16) == accesses
 
 
 class TestRandomArray:

@@ -2,7 +2,8 @@
 
 :class:`OpenLoopWorkload` re-times an inner workload with arrival gaps.
 Its :meth:`~OpenLoopWorkload.columnar_blocks` must concatenate to
-exactly its per-access :meth:`~OpenLoopWorkload.accesses` stream, for
+exactly the inner workload's vpn and write columns with the first
+``total_accesses`` gaps of :meth:`ArrivalSpec.gaps` as think times, for
 any arrival shape, inner kind and block size.  The object engine walks
 those blocks as plain ``(vpn, is_write, think_ns)`` tuples, so a run
 builds no :class:`PageAccess`; :class:`ProcessDriver` still accepts
@@ -11,19 +12,24 @@ builds no :class:`PageAccess`; :class:`ProcessDriver` still accepts
 
 from __future__ import annotations
 
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios.spec import ArrivalSpec, OpenLoopWorkload
 from repro.sim.machine import Machine, leap_config
 from repro.sim.process import PageAccess, ProcessDriver, make_driver
+from repro.sim.rng import SimRandom
 from repro.sim.run import warmup_process
+from repro.workloads.base import materialize_columns
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.patterns import ZipfianWorkload
 from repro.workloads.voltdb import VoltDBWorkload
 
 from test_kernel import machine_fingerprint, unpack
 from test_sim_golden import run_scenario_on
+from workload_oracle import oracle_accesses
 
 INNER_KINDS = {
     "zipfian": lambda wss, n, seed: ZipfianWorkload(wss, n, seed=seed, write_fraction=0.2),
@@ -54,12 +60,13 @@ def open_loop_workloads(draw) -> OpenLoopWorkload:
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(workload=open_loop_workloads(), block_size=st.sampled_from([1, 7, 8192]))
 def test_columnar_blocks_concatenate_to_accesses(workload, block_size):
-    expected = list(workload.accesses())
+    inner_vpn, inner_writes, _ = materialize_columns(workload.inner)
+    gaps = workload.arrival.gaps(SimRandom(workload.seed, f"arrivals/{workload.name}"))
     vpns, writes, thinks = unpack(workload, block_size)
-    assert len(expected) == workload.total_accesses
-    assert vpns == [a.vpn for a in expected]
-    assert writes == [a.is_write for a in expected]
-    assert thinks == [a.think_ns for a in expected]
+    assert len(vpns) == workload.total_accesses
+    assert vpns == inner_vpn.tolist()
+    assert writes == inner_writes.tolist()
+    assert thinks == list(islice(gaps, workload.total_accesses))
 
 
 def test_object_engine_run_builds_no_page_access(monkeypatch):
@@ -71,11 +78,10 @@ def test_object_engine_run_builds_no_page_access(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(PageAccess, "__new__", counting_new)
-    # The counter sees constructions, including the open-loop oracle's.
+    # The counter sees constructions, including the per-access oracle's.
     PageAccess(1)
-    inner = ZipfianWorkload(64, 10, seed=1)
-    list(OpenLoopWorkload(inner, ArrivalSpec(), seed=1).accesses())
-    assert len(created) == 21
+    list(oracle_accesses(ZipfianWorkload(64, 10, seed=1)))
+    assert len(created) == 11
     created.clear()
     payload = run_scenario_on("object", "failover-under-load")
     assert payload["totals"]["accesses"] > 0
@@ -97,7 +103,11 @@ def test_driver_accepts_page_access_iterables():
             machine, [1]
         )
 
-    objects = run(lambda workload, start: ProcessDriver(1, workload.accesses(), start))
+    def page_accesses(workload):
+        vpns, writes, thinks = materialize_columns(workload)
+        return map(PageAccess, vpns.tolist(), writes.tolist(), thinks.tolist())
+
+    objects = run(lambda workload, start: ProcessDriver(1, page_accesses(workload), start))
     tuples = run(lambda workload, start: make_driver(1, workload, start, engine="object"))
     assert objects == tuples
     assert objects[1] == 900

@@ -15,6 +15,7 @@ import pytest
 
 from repro.datapath.backends import DiskBackend
 from repro.datapath.lean_path import LeanLeapPath
+from repro.kernel import ColumnarCursor
 from repro.mem.page_cache import EagerFifoPolicy, LazyLRUPolicy, PageCache
 from repro.mem.reclaim import KswapdReclaimer
 from repro.mem.vmm import AccessKind, VirtualMemoryManager
@@ -320,7 +321,10 @@ class TestBurstEquivalence:
                 pass
             start = max(start, driver.finished_ns)
         machine.reset_measurements()
-        drivers = [driver_cls(pid, wl.accesses(), start_ns=start) for pid, wl in workloads.items()]
+        drivers = [
+            driver_cls(pid, ColumnarCursor(wl.columnar_blocks()).tuples(), start_ns=start)
+            for pid, wl in workloads.items()
+        ]
         return machine, drivers, start
 
     def test_min_clock_burst_matches_single_stepping(self):

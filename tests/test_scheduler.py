@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.machine import Machine, leap_config
 from repro.sim.scheduler import ConcurrentScheduler
-from repro.sim.process import ProcessDriver
+from repro.sim.process import make_driver
 from repro.sim.run import warmup_process
 from repro.workloads.patterns import (
     RandomWorkload,
@@ -100,7 +100,7 @@ class TestMigration:
             start_ns = max(start_ns, warmup_process(machine, pid, start_ns=start_ns))
         machine.reset_measurements()
         drivers = [
-            ProcessDriver(pid, workload.accesses(), start_ns=start_ns)
+            make_driver(pid, workload, start_ns, engine="object")
             for pid, workload in workloads.items()
         ]
         scheduler = ConcurrentScheduler(

@@ -2,19 +2,21 @@
 
 The contract under test, in order of importance:
 
-* **replay equivalence** — a trace replayed through
-  :class:`ColumnarTraceWorkload` (mmap'd v2 columns sliced straight
-  into ``AccessBlock`` views) produces *bit-identical* simulated
-  results to the same trace through the v1-text
-  :class:`RecordedWorkload`, on every run path and both engines;
+* **replay equivalence** — a v2 trace replayed through
+  :class:`ColumnarTraceWorkload` (mmap'd columns sliced straight into
+  ``AccessBlock`` views) produces *bit-identical* simulated results to
+  the v1 text it was converted from, loaded into the same class, on
+  every run path and both engines;
 * **container round trips** — v2 write/open preserves every access;
   v1 <-> v2 conversion is lossless both ways; trivial-column omission
   is invisible to readers; truncated or padded files fail loudly;
 * **capture identity** — capturing any workload to v2 and replaying
   yields exactly the workload's own access stream (hypothesis-checked
   over random recorded traces too);
-* **KV-cache generator** — the object and columnar paths of
-  :class:`KVCacheWorkload` emit identical streams;
+* **v1 body errors** — every malformed v1 body raises
+  :class:`TraceFormatError` naming the file (and line);
+* **KV-cache generator** — the columnar blocks of
+  :class:`KVCacheWorkload` equal its per-access oracle;
 * **analyzer** — ``analyze_columns`` is deterministic and its numbers
   match hand-computed values on crafted streams.
 
@@ -59,15 +61,17 @@ from repro.trace.format import (
 )
 from repro.workloads.kvcache import KVCacheWorkload
 from repro.workloads.patterns import ZipfianWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import load_trace, save_trace
 
 from test_kernel import (
     ENGINES,
+    access_tuples,
     assert_streams_match,
     machine_fingerprint,
     run_both,
     summary_fingerprint,
 )
+from workload_oracle import oracle_accesses
 
 # ---------------------------------------------------------------------------
 # v2 container round trips.
@@ -270,18 +274,16 @@ class TestV2Container:
             write_trace_v2(path, vpn, wss_pages=8)
 
     def test_replay_is_repeatable(self, tmp_path):
-        # Both the object stream and the block stream must be
-        # restartable: the scenario engine replays workloads twice
-        # (warmup + run) and across prefetcher comparisons.
+        # The block stream must be restartable: the scenario engine
+        # replays workloads twice (warmup + run) and across prefetcher
+        # comparisons.
         vpn, is_write, think = small_columns(n=80)
         path = tmp_path / "t.rtrace"
         write_trace_v2(path, vpn, is_write, think, wss_pages=32)
         trace = open_trace_v2(path)
-        first = list(trace.accesses())
-        second = list(trace.accesses())
-        assert first == second
-        assert_streams_match(trace, 17)
-        assert_streams_match(trace, 17)
+        expected = list(zip(vpn.tolist(), is_write.tolist(), think.tolist()))
+        assert access_tuples(trace, 17) == expected
+        assert access_tuples(trace, 17) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +300,7 @@ class TestCaptureAndConvert:
         meta = capture_workload(workload, path)
         assert meta["count"] == 500
         trace = open_trace_v2(path)
-        expected = list(workload.accesses())
-        assert list(trace.accesses()) == expected
+        assert access_tuples(trace) == list(oracle_accesses(workload))
         assert trace.provenance["spec_hash"]
 
     def test_capture_scenario_tenant(self, tmp_path):
@@ -326,11 +327,12 @@ class TestCaptureAndConvert:
         info = convert_trace(v1, v2)
         assert info["count"] == 120
         assert sniff_trace(v2) == "v2"
-        assert list(open_trace_v2(v2).accesses()) == accesses
+        assert access_tuples(open_trace_v2(v2)) == accesses
         back = tmp_path / "back.trace"
         convert_trace(v2, back)
         assert sniff_trace(back) == "v1"
-        assert list(load_trace(back).accesses()) == accesses
+        assert access_tuples(load_trace(back)) == accesses
+        assert back.read_text() == v1.read_text()
 
     def test_read_trace_meta_uniform(self, tmp_path):
         accesses = [PageAccess(vpn=v % 7, is_write=False, think_ns=0) for v in range(30)]
@@ -351,7 +353,7 @@ class TestCaptureAndConvert:
         save_trace(v1, accesses, wss_pages=5)
         v2 = tmp_path / "t.rtrace"
         convert_trace(v1, v2)
-        assert isinstance(load_any_trace(v1), RecordedWorkload)
+        assert isinstance(load_any_trace(v1), ColumnarTraceWorkload)
         assert isinstance(load_any_trace(v2), ColumnarTraceWorkload)
         with pytest.raises(ValueError, match="trace"):
             load_any_trace(tmp_path / "missing.trace")
@@ -373,14 +375,14 @@ class TestV1Hardening:
         path = self._write(tmp_path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(TraceFormatError, match="truncated"):
             load_trace(path)
 
     def test_padded_rejected(self, tmp_path):
         path = self._write(tmp_path)
         with path.open("a") as handle:
             handle.write("3\n3\n")
-        with pytest.raises(ValueError, match="padded"):
+        with pytest.raises(TraceFormatError, match="padded"):
             load_trace(path)
 
     def test_external_trace_without_count_still_loads(self, tmp_path):
@@ -396,7 +398,7 @@ class TestV1Hardening:
         # refuse the file before either engine sees it.
         path = tmp_path / "neg.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=neg\n1\n2,t-5\n")
-        with pytest.raises(ValueError, match=r"neg\.trace:4: negative think time 't-5'"):
+        with pytest.raises(TraceFormatError, match=r"neg\.trace:4: negative think time 't-5'"):
             load_trace(path)
 
     def test_negative_default_think_time_rejected(self, tmp_path):
@@ -429,6 +431,50 @@ class TestV1Hardening:
             with pytest.raises(TraceFormatError, match=expected):
                 reader(path)
 
+    @pytest.mark.parametrize(
+        "count, body, problem",
+        [
+            (2, "1\nx\n", ":4: bad vpn 'x'"),
+            (1, "1,q\n", ":3: unknown flag 'q'"),
+            (1, "1,tz\n", ":3: bad think flag 'tz'"),
+            (1, "1,t-5\n", ":3: negative think time 't-5'"),
+            (3, "1\n2\n", ": truncated trace"),
+            (1, "1\n2\n", ": padded trace"),
+            (1, "", ": trace holds no accesses"),
+            (2, "1\n9\n", ": trace access vpn span [1, 9] outside wss 4"),
+            (1, "-1\n", ": trace access vpn span [-1, -1] outside wss 4"),
+            (1, "99999999999999999999\n", ": "),
+        ],
+        ids=[
+            "bad-vpn",
+            "unknown-flag",
+            "bad-think",
+            "negative-think",
+            "truncated",
+            "padded",
+            "empty",
+            "vpn-past-wss",
+            "negative-vpn",
+            "vpn-past-int64",
+        ],
+    )
+    def test_bad_body_raises_typed_error_naming_the_file(
+        self, tmp_path, count, body, problem
+    ):
+        path = tmp_path / "bad.trace"
+        path.write_text(f"# repro-trace v1\n# wss_pages=4 count={count}\n{body}")
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path) + problem)}"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "replay"])
+    def test_cli_names_the_file_of_a_bad_body(self, tmp_path, capsys, command):
+        path = tmp_path / "oob.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=4 count=1\n9\n")
+        assert main(["trace", command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: trace access vpn span [9, 9] outside wss 4\n"
+        )
+
     def test_cli_reports_bad_header_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
         path.write_text("# repro-trace v1\n# think_ns=0 name=x\n1\n")
@@ -440,21 +486,24 @@ class TestV1Hardening:
 
 
 # ---------------------------------------------------------------------------
-# Replay equivalence: ColumnarTraceWorkload == RecordedWorkload,
-# byte-for-byte, on every run path and both engines.
+# Replay equivalence: a v1 load == its v2 conversion, byte-for-byte, on
+# every run path and both engines.
 # ---------------------------------------------------------------------------
 
 
 def paired_traces(tmp_path, n=1500, wss=96, seed=21):
-    """The same trace as (RecordedWorkload, ColumnarTraceWorkload)."""
+    """The same trace as (v1 load, load of its v2 conversion)."""
     workload = ZipfianWorkload(
         wss_pages=wss, total_accesses=n, seed=seed, skew=1.1, write_fraction=0.25
     )
     v1 = tmp_path / "pair.trace"
-    save_trace(v1, workload.accesses(), wss_pages=wss, name="pair")
+    save_trace(v1, oracle_accesses(workload), wss_pages=wss, name="pair")
     v2 = tmp_path / "pair.rtrace"
-    capture_workload(workload, v2, name="pair")
-    return load_trace(v1), open_trace_v2(v2)
+    convert_trace(v1, v2)
+    recorded, columnar = load_trace(v1), open_trace_v2(v2)
+    for left, right in zip(recorded.columns(), columnar.columns()):
+        assert left.tolist() == right.tolist()
+    return recorded, columnar
 
 
 class TestReplayEquivalence:
@@ -588,18 +637,17 @@ class TestOutOfRangeVpn:
     )
 )
 def test_property_capture_replay_identity(tmp_path_factory, entries):
-    """Any recorded trace survives v2 capture -> mmap replay exactly."""
-    accesses = [PageAccess(vpn=v, is_write=w, think_ns=t) for v, w, t in entries]
-    workload = RecordedWorkload(accesses, wss_pages=31, think_ns=0)
-    path = tmp_path_factory.mktemp("prop") / "t.rtrace"
-    capture_workload(workload, path)
-    trace = open_trace_v2(path)
-    assert list(trace.accesses()) == accesses
-    assert_streams_match(trace, 7)
+    """Any recorded trace survives v1 save -> v2 capture -> mmap replay exactly."""
+    folder = tmp_path_factory.mktemp("prop")
+    save_trace(folder / "t.trace", entries, wss_pages=31, think_ns=0)
+    capture_workload(load_trace(folder / "t.trace"), folder / "t.rtrace")
+    trace = open_trace_v2(folder / "t.rtrace")
+    assert access_tuples(trace) == entries
+    assert access_tuples(trace, 7) == entries
 
 
 # ---------------------------------------------------------------------------
-# KV-cache paging workload: object path == columnar path.
+# KV-cache paging workload: columnar blocks == per-access oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -623,7 +671,7 @@ class TestKVCacheWorkload:
     def test_stream_is_deterministic(self):
         a = KVCacheWorkload(wss_pages=128, total_accesses=800, seed=9)
         b = KVCacheWorkload(wss_pages=128, total_accesses=800, seed=9)
-        assert list(a.accesses()) == list(b.accesses())
+        assert access_tuples(a) == access_tuples(b)
 
     def test_llm_inference_scenario_registered_and_deterministic(self):
         from repro.scenarios import run_scenario
@@ -841,7 +889,7 @@ def test_nightly_million_access_replay_speedup(tmp_path):
         lookups_per_append=tier["lookups_per_append"],
     )
     v1 = tmp_path / "kv.trace"
-    save_trace(v1, workload.accesses(), wss_pages=tier["wss_pages"], name="kv")
+    save_trace(v1, access_tuples(workload), wss_pages=tier["wss_pages"], name="kv")
     v2 = tmp_path / "kv.rtrace"
     capture_workload(workload, v2, name="kv")
 

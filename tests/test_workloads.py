@@ -1,9 +1,11 @@
 """Tests for the workload generators."""
 
+import re
+
 import pytest
 
 from repro.analysis.pattern_windows import window_fractions
-from repro.workloads.base import materialize_trace
+from repro.workloads.base import materialize_columns
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.numpy_matmul import NumpyMatmulWorkload
 from repro.workloads.patterns import (
@@ -15,8 +17,10 @@ from repro.workloads.patterns import (
 from repro.sim.process import PageAccess
 from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.segments import SegmentMixWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import TraceFormatError, load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
+
+from test_kernel import access_tuples
 
 ALL_WORKLOADS = [
     lambda: SequentialWorkload(512, 2_000, seed=3),
@@ -30,31 +34,32 @@ ALL_WORKLOADS = [
 ]
 
 
+def vpns(workload) -> list[int]:
+    return materialize_columns(workload)[0].tolist()
+
+
 class TestContracts:
     @pytest.mark.parametrize("factory", ALL_WORKLOADS)
     def test_length_and_bounds(self, factory):
         workload = factory()
-        trace = materialize_trace(workload)
-        assert len(trace) == workload.total_accesses
-        assert all(0 <= access.vpn < workload.wss_pages for access in trace)
-        assert all(access.think_ns == workload.think_ns for access in trace)
+        vpn, _, think_ns = materialize_columns(workload)
+        assert len(vpn) == workload.total_accesses
+        assert 0 <= vpn.min() and vpn.max() < workload.wss_pages
+        assert (think_ns == workload.think_ns).all()
 
     @pytest.mark.parametrize("factory", ALL_WORKLOADS)
     def test_determinism(self, factory):
-        first = [(a.vpn, a.is_write) for a in factory().accesses()]
-        second = [(a.vpn, a.is_write) for a in factory().accesses()]
-        assert first == second
+        assert access_tuples(factory()) == access_tuples(factory())
 
     def test_different_seeds_differ(self):
-        a = [x.vpn for x in PowerGraphWorkload(2_048, 2_000, seed=1).accesses()]
-        b = [x.vpn for x in PowerGraphWorkload(2_048, 2_000, seed=2).accesses()]
+        a = vpns(PowerGraphWorkload(2_048, 2_000, seed=1))
+        b = vpns(PowerGraphWorkload(2_048, 2_000, seed=2))
         assert a != b
 
     def test_write_fraction_roughly_respected(self):
         workload = PowerGraphWorkload(2_048, 8_000, seed=3)
-        trace = materialize_trace(workload)
-        writes = sum(1 for a in trace if a.is_write)
-        assert 0.15 < writes / len(trace) < 0.35  # configured 0.25
+        _, is_write, _ = materialize_columns(workload)
+        assert 0.15 < is_write.mean() < 0.35  # configured 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,32 +74,30 @@ class TestContracts:
 
 class TestPatternShapes:
     def test_sequential_is_sequential(self):
-        vpns = [a.vpn for a in SequentialWorkload(128, 400, seed=1).accesses()]
-        assert vpns[:5] == [0, 1, 2, 3, 4]
-        assert vpns[128] == 0  # wraps into a new pass
+        trace = vpns(SequentialWorkload(128, 400, seed=1))
+        assert trace[:5] == [0, 1, 2, 3, 4]
+        assert trace[128] == 0  # wraps into a new pass
 
     def test_stride_visits_every_page(self):
         workload = StrideWorkload(100, 100, stride=10, seed=1)
-        vpns = {a.vpn for a in workload.accesses()}
-        assert vpns == set(range(100))
+        assert set(vpns(workload)) == set(range(100))
 
     def test_stride_deltas_constant_within_sweep(self):
-        vpns = [a.vpn for a in StrideWorkload(1_000, 90, stride=10).accesses()]
-        deltas = {b - a for a, b in zip(vpns, vpns[1:])}
+        trace = vpns(StrideWorkload(1_000, 90, stride=10))
+        deltas = {b - a for a, b in zip(trace, trace[1:])}
         assert deltas == {10}
 
     def test_zipf_concentrates_access(self):
         workload = ZipfianWorkload(1_000, 10_000, skew=1.3, seed=1)
         counts: dict[int, int] = {}
-        for access in workload.accesses():
-            counts[access.vpn] = counts.get(access.vpn, 0) + 1
+        for vpn in vpns(workload):
+            counts[vpn] = counts.get(vpn, 0) + 1
         top = sorted(counts.values(), reverse=True)[:50]
         assert sum(top) > 0.4 * workload.total_accesses
 
     def test_random_spreads_access(self):
         workload = RandomWorkload(1_000, 10_000, seed=1)
-        distinct = {a.vpn for a in workload.accesses()}
-        assert len(distinct) > 900
+        assert len(set(vpns(workload))) > 900
 
 
 class TestApplicationMixes:
@@ -102,27 +105,23 @@ class TestApplicationMixes:
 
     def test_memcached_mostly_irregular(self):
         workload = MemcachedWorkload(4_096, 20_000, seed=5)
-        vpns = [a.vpn for a in workload.accesses()]
-        fractions = window_fractions(vpns, window=8, majority=True)
+        fractions = window_fractions(vpns(workload), window=8, majority=True)
         assert fractions.other > 0.8
 
     def test_numpy_mostly_patterned(self):
         workload = NumpyMatmulWorkload(4_096, 20_000, seed=5)
-        vpns = [a.vpn for a in workload.accesses()]
-        fractions = window_fractions(vpns, window=8, majority=True)
+        fractions = window_fractions(vpns(workload), window=8, majority=True)
         assert fractions.sequential + fractions.stride > 0.6
 
     def test_powergraph_has_all_three(self):
         workload = PowerGraphWorkload(4_096, 20_000, seed=5)
-        vpns = [a.vpn for a in workload.accesses()]
-        fractions = window_fractions(vpns, window=8, majority=True)
+        fractions = window_fractions(vpns(workload), window=8, majority=True)
         assert fractions.sequential > 0.2
         assert fractions.other > 0.1
 
     def test_voltdb_majority_irregular(self):
         workload = VoltDBWorkload(4_096, 20_000, seed=5)
-        vpns = [a.vpn for a in workload.accesses()]
-        fractions = window_fractions(vpns, window=8, majority=True)
+        fractions = window_fractions(vpns(workload), window=8, majority=True)
         assert fractions.other > 0.3
 
     def test_throughput_metadata(self):
@@ -171,8 +170,8 @@ class TestSegmentMixValidation:
             256, 1_000, seed=1,
             sequential_weight=1.0, stride_weight=0.0, irregular_weight=0.0,
         )
-        vpns = [a.vpn for a in workload.accesses()]
-        deltas = [b - a for a, b in zip(vpns, vpns[1:])]
+        trace = vpns(workload)
+        deltas = [b - a for a, b in zip(trace, trace[1:])]
         assert deltas.count(1) / len(deltas) > 0.9
 
     def test_hot_region_bounds_irregular_targets(self):
@@ -181,8 +180,7 @@ class TestSegmentMixValidation:
             sequential_weight=0.0, stride_weight=0.0, irregular_weight=1.0,
             hot_fraction=0.2, irregular_skew=1.0,
         )
-        vpns = {a.vpn for a in workload.accesses()}
-        assert max(vpns) < 200  # hot region = first 20% of pages
+        assert max(vpns(workload)) < 200  # hot region = first 20% of pages
 
 
 class TestTraceRoundTrip:
@@ -203,7 +201,7 @@ class TestTraceRoundTrip:
         written = save_trace(path, accesses, wss_pages=16, think_ns=500, name="bug-42")
         assert written == len(accesses)
         loaded = load_trace(path)
-        assert list(loaded.accesses()) == accesses
+        assert access_tuples(loaded) == accesses
         assert loaded.wss_pages == 16
         assert loaded.think_ns == 500
         assert loaded.name == "bug-42"
@@ -216,7 +214,7 @@ class TestTraceRoundTrip:
         loaded = load_trace(first)
         save_trace(
             second,
-            loaded.accesses(),
+            access_tuples(loaded),
             wss_pages=loaded.wss_pages,
             think_ns=loaded.think_ns,
             name=loaded.name,
@@ -227,10 +225,10 @@ class TestTraceRoundTrip:
         workload = ZipfianWorkload(128, 500, seed=9, write_fraction=0.3)
         path = tmp_path / "zipf.trace"
         save_trace(
-            path, workload.accesses(), wss_pages=128, think_ns=workload.think_ns
+            path, access_tuples(workload), wss_pages=128, think_ns=workload.think_ns
         )
         loaded = load_trace(path)
-        assert list(loaded.accesses()) == list(workload.accesses())
+        assert access_tuples(loaded) == access_tuples(workload)
 
     def test_numeric_looking_name_survives(self, tmp_path):
         """A digit-and-underscore name must stay a string — int()
@@ -246,27 +244,21 @@ class TestTraceRoundTrip:
     def test_rejects_unknown_flag(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=x\n1,q\n")
-        with pytest.raises(ValueError, match="unknown flag"):
+        with pytest.raises(TraceFormatError, match=r"t\.trace:3: unknown flag"):
             load_trace(path)
 
     def test_rejects_bad_vpn_and_empty(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\nnope\n")
-        with pytest.raises(ValueError, match="bad vpn"):
+        with pytest.raises(TraceFormatError, match=r"t\.trace:3: bad vpn"):
             load_trace(path)
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n")
-        with pytest.raises(ValueError, match="no accesses"):
+        with pytest.raises(TraceFormatError, match=r"t\.trace: trace holds no accesses"):
             load_trace(path)
 
-    def test_vpn_stream_is_unreachable_by_design(self):
-        """RecordedWorkload overrides accesses(); the base generator
-        path must stay closed (it would re-draw write flags)."""
-        workload = RecordedWorkload(
-            [PageAccess(vpn=0)], wss_pages=4, think_ns=0
-        )
-        with pytest.raises(NotImplementedError):
-            next(workload._vpn_stream(None))
-
-    def test_out_of_range_vpn_rejected(self):
-        with pytest.raises(ValueError, match="outside wss"):
-            RecordedWorkload([PageAccess(vpn=99)], wss_pages=4)
+    def test_out_of_range_vpn_rejected(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n1\n99\n")
+        expected = f"^{re.escape(str(path))}: .*outside wss 4"
+        with pytest.raises(TraceFormatError, match=expected):
+            load_trace(path)
