@@ -33,7 +33,6 @@ from repro.core.access_history import AccessHistory
 from repro.core.prefetcher import LeapPrefetcher
 from repro.core.leap import Leap
 from repro.core.sharded_tracker import ShardedLeapTracker
-from repro.core.tracker import IsolatedLeapTracker
 from repro.core.trend import find_trend
 from repro.cluster import FailureEvent, MemoryCluster, MemoryServer
 from repro.mem.vmm import AccessKind, AccessOutcome, VirtualMemoryManager
@@ -69,7 +68,6 @@ __all__ = [
     "AccessOutcome",
     "ConcurrentScheduler",
     "FailureEvent",
-    "IsolatedLeapTracker",
     "Leap",
     "LeapPrefetcher",
     "Machine",

@@ -123,8 +123,9 @@ def add_parsers(sub) -> None:
 
 def _load_scenario_arg(token: str):
     """A submit operand: a registered name, a Scenario JSON file, or a
-    trace file (v1 or v2, sniffed by magic) replayed as a single-tenant
-    scenario."""
+    v2 trace file replayed as a single-tenant scenario.  Trace files are
+    sniffed by magic, so a v1 text trace is refused with the hint to
+    import it rather than parsed as JSON."""
     if token.endswith(".json") or Path(token).is_file():
         from repro.trace.convert import sniff_trace, trace_tenant_scenario
 

@@ -1,9 +1,11 @@
 """Trace command group: ``trace list|capture|replay|analyze|convert``.
 
-The CLI face of :mod:`repro.trace`: inspect trace files (either
-format), capture any workload or scenario tenant into a v2 columnar
-file, replay a trace through the machine on either burst engine,
-run the vectorized analyzer, and convert v1 text ↔ v2 binary.
+The CLI face of :mod:`repro.trace`: inspect v2 trace files, capture
+any workload or scenario tenant into a v2 columnar file, replay a
+trace through the machine on either burst engine, run the vectorized
+analyzer, and import v1 text traces into v2 (``convert``, the only
+command that reads v1; the others refuse it with exit 2, ``list``
+with 1).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def add_parsers(sub) -> None:
     analyze.set_defaults(handler=_analyze)
 
     convert = trace_sub.add_parser(
-        "convert", help="convert v1 text <-> v2 binary (direction follows src)"
+        "convert", help="import a v1 text trace as a v2 binary trace"
     )
     convert.add_argument("src", metavar="SRC")
     convert.add_argument("dst", metavar="DST")
@@ -192,10 +194,10 @@ def _replay(args: argparse.Namespace) -> int:
 
     from repro.sim.machine import Machine, leap_config
     from repro.sim.simulate import simulate
-    from repro.trace.convert import load_any_trace
+    from repro.trace.format import open_trace_v2
 
     try:
-        workload = load_any_trace(args.path)
+        workload = open_trace_v2(args.path)
     except (OSError, ValueError) as error:
         return _fail(str(error))
     machine = Machine(leap_config(seed=args.seed, engine=args.engine))

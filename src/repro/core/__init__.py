@@ -11,7 +11,6 @@ from repro.core.majority import majority_candidate, majority_threshold, verified
 from repro.core.prefetch_window import DEFAULT_MAX_WINDOW, PrefetchWindow
 from repro.core.prefetcher import LeapPrefetcher
 from repro.core.sharded_tracker import ShardedLeapTracker
-from repro.core.tracker import IsolatedLeapTracker
 from repro.core.trend import DEFAULT_NSPLIT, find_trend
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "DEFAULT_MAX_WINDOW",
     "DEFAULT_NSPLIT",
     "EagerFifoPolicy",
-    "IsolatedLeapTracker",
     "Leap",
     "LeapPrefetcher",
     "PrefetchWindow",

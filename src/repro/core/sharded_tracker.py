@@ -16,9 +16,9 @@ destination core's shard, so migration does not restart trend detection
 from scratch.
 
 With static core assignment (no migrations) every process has exactly
-one shard and the tracker behaves identically to
-:class:`~repro.core.tracker.IsolatedLeapTracker` — the property the
-single-process figures rely on.
+one shard, so the tracker is plain per-process isolation — one
+process's access pattern never pollutes another's trend detection, the
+property the single-process figures and Figure 13 rely on.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class ShardedLeapTracker(Prefetcher):
     def active_shard(self, pid: int) -> LeapPrefetcher:
         """The shard on the core *pid* currently runs on."""
         return self.shard_for(pid, self._active_core.get(pid, 0))
-
-    # Compatibility with IsolatedLeapTracker's introspection API.
-    prefetcher_for = active_shard
 
     def active_core(self, pid: int) -> int:
         return self._active_core.get(pid, 0)

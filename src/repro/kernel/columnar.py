@@ -8,8 +8,7 @@ produce blocks via :meth:`~repro.workloads.base.Workload.columnar_blocks`
 (every workload generates its columns natively), and
 :class:`ColumnarCursor` is the consuming side: a read head over the
 block stream that the vectorized burst kernel slices whole resident
-runs from and that can still pop one scalar access at a time for the
-fault path.  The object engine reads the same cursor as a stream of
+runs from.  The object engine reads the same cursor as a stream of
 plain ``(vpn, is_write, think_ns)`` tuples (:meth:`ColumnarCursor.tuples`).
 """
 
@@ -20,8 +19,6 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
-
-from repro.sim.process import PageAccess
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -70,8 +67,7 @@ class ColumnarCursor:
     One cursor backs one :class:`~repro.sim.process.ProcessDriver` in
     either engine.  The kernel reads the *tail* of the current
     block (``tail()``) to classify a run in one gather, then commits
-    consumption with :meth:`advance`; :meth:`pop` serves the scalar
-    fault path one access at a time.  Exhaustion (``ensure() ==
+    consumption with :meth:`advance`.  Exhaustion (``ensure() ==
     False``) is the columnar equivalent of the object trace iterator
     returning ``None``.
     """
@@ -141,15 +137,3 @@ class ColumnarCursor:
             vpn, is_write, think_ns = (column[:TUPLE_SLICE] for column in self.tail())
             self.advance(len(vpn))
             yield zip(vpn.tolist(), is_write.tolist(), think_ns.tolist())
-
-    def pop(self) -> PageAccess | None:
-        """Consume and return one access as an object (None when done)."""
-        if not self.ensure():
-            return None
-        offset = self._offset
-        self._offset = offset + 1
-        return PageAccess(
-            vpn=int(self._vpn[offset]),
-            is_write=bool(self._write[offset]),
-            think_ns=int(self._think[offset]),
-        )

@@ -24,7 +24,7 @@ import numpy as np
 from repro.control.spec import BalancerSpec, ControlSpec, GovernorSpec
 from repro.kernel.columnar import AccessBlock
 from repro.sim.rng import SimRandom, derive_seed
-from repro.trace.convert import load_any_trace
+from repro.trace.format import open_trace_v2
 from repro.workloads.base import Workload
 from repro.workloads.kvcache import KVCacheWorkload
 from repro.workloads.memcached import MemcachedWorkload
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 #: Workload kinds a tenant may declare.  ``trace`` replays a recorded
-#: trace file — v1 text or v2 columnar, sniffed by magic
-#: (``params={"path": ...}``, see :mod:`repro.trace`).
+#: v2 trace file (``params={"path": ...}``, see :mod:`repro.trace`).
 WORKLOAD_KINDS = {
     "sequential": SequentialWorkload,
     "stride": StrideWorkload,
@@ -430,7 +429,7 @@ def _build_workload(tenant: TenantSpec, accesses: int, seed: int) -> Workload:
             raise ValueError(
                 f"tenant {tenant.name!r}: trace workloads need params['path']"
             ) from None
-        inner: Workload = load_any_trace(path)
+        inner: Workload = open_trace_v2(path)
     else:
         cls = WORKLOAD_KINDS[tenant.workload]
         kwargs = dict(tenant.params)

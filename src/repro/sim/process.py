@@ -89,13 +89,15 @@ class ProcessDriver:
         return self.finished_ns - self.started_ns
 
     def step(self, vmm: VirtualMemoryManager) -> bool:
-        """Execute the next access; returns False when the trace ended."""
+        """Execute the next access; returns False when the trace ended.
+
+        The single-stepping oracle the burst paths are tested against;
+        it reads the object trace only (drivers built with a ``cursor``
+        run through :meth:`step_burst`).
+        """
         if self.done:
             return False
-        if self.cursor is not None:
-            access = self.cursor.pop()
-        else:
-            access = next(self._trace, None)
+        access = next(self._trace, None)
         if access is None:
             self.finished_ns = self.clock.now
             return False

@@ -13,8 +13,8 @@ The sibling modules cover the trace lifecycle:
 * :mod:`repro.trace.capture` — freeze any workload (or scenario
   tenant) into a v2 file straight from its columnar block stream, no
   per-access object detour;
-* :mod:`repro.trace.convert` — sniff v1/v2, convert both ways, load
-  either into a replayable workload;
+* :mod:`repro.trace.convert` — read v2 metadata without loading the
+  data, and import v1 text traces into v2 (the only reader of v1);
 * :mod:`repro.trace.analyze` — the vectorized analysis kernel behind
   ``repro trace analyze``: reuse-distance distributions, stride
   histograms, write fractions, and per-region prefetchability scores
@@ -22,15 +22,15 @@ The sibling modules cover the trace lifecycle:
   that ``repro perf compare`` diffs.
 
 Everything here is deterministic (lint rules R1/R2 cover this package).
-Both formats replay through one class,
-:class:`~repro.trace.format.ColumnarTraceWorkload`.
+Only v2 replays, lists, analyzes or submits; a v1 text file given to
+any of those raises :class:`~repro.trace.format.TraceFormatError`
+telling the caller to import it with ``repro trace convert``.
 """
 
 from repro.trace.analyze import analyze_columns, analyze_trace_file
 from repro.trace.capture import capture_scenario_tenant, capture_workload
 from repro.trace.convert import (
     convert_trace,
-    load_any_trace,
     read_trace_meta,
     sniff_trace,
     trace_tenant_scenario,
@@ -51,7 +51,6 @@ __all__ = [
     "capture_scenario_tenant",
     "capture_workload",
     "convert_trace",
-    "load_any_trace",
     "open_trace_v2",
     "read_trace_meta",
     "read_trace_v2_header",

@@ -213,13 +213,12 @@ def analyze_columns(
 
 
 def analyze_trace_file(path: str | Path, *, regions: int = 8) -> dict:
-    """Analyze a trace file (either format) into an artifact dict."""
-    from repro.trace.convert import load_any_trace
-    from repro.workloads.base import materialize_columns
+    """Analyze a v2 trace file into an artifact dict."""
+    from repro.trace.format import open_trace_v2
 
     path = Path(path)
-    workload = load_any_trace(path)
-    vpn, is_write, think = materialize_columns(workload)
+    workload = open_trace_v2(path)
+    vpn, is_write, think = workload.columns()
     return analyze_columns(
         vpn,
         is_write,

@@ -33,13 +33,13 @@ import struct
 from pathlib import Path
 
 from repro.workloads.base import Workload
-from repro.workloads.trace_io import TraceFormatError
 
 __all__ = [
     "FORMAT_NAME",
     "MAGIC",
     "ColumnarTraceWorkload",
     "TraceFormatError",
+    "V1_MAGIC",
     "open_trace_v2",
     "read_trace_v2_header",
     "write_trace_v2",
@@ -47,6 +47,9 @@ __all__ = [
 
 MAGIC = b"#repro-trace v2\n"
 FORMAT_NAME = "repro-trace/2"
+#: First line of a v1 text trace, which only ``repro trace convert``
+#: reads (:func:`repro.trace.convert.convert_trace`).
+V1_MAGIC = b"# repro-trace v1"
 
 #: Column sections a v2 file may carry, in their fixed file order.
 #: ``vpn`` is mandatory; the other two are omitted when trivial.
@@ -56,6 +59,10 @@ _COLUMN_ORDER = ("vpn", "think_ns", "is_write")
 _ALIGN = 64
 #: Sanity bound on the JSON header (metadata, not data).
 _MAX_HEADER_BYTES = 1 << 20
+
+
+class TraceFormatError(ValueError):
+    """A trace file violates its format: the v2 container or v1 text."""
 
 
 def _align(offset: int, alignment: int) -> int:
@@ -177,6 +184,10 @@ def read_trace_v2_header(path: str | Path) -> dict:
     path = Path(path)
     with path.open("rb") as handle:
         magic = handle.read(len(MAGIC))
+        if magic == V1_MAGIC:
+            raise TraceFormatError(
+                f"{path}: v1 text trace; import it with `repro trace convert`"
+            )
         if magic != MAGIC:
             raise TraceFormatError(f"{path}: not a repro-trace v2 file")
         length_field = handle.read(8)
@@ -228,19 +239,17 @@ def read_trace_v2_header(path: str | Path) -> dict:
     return header
 
 
-def open_trace_v2(
-    path: str | Path, *, validate: bool = True
-) -> "ColumnarTraceWorkload":
+def open_trace_v2(path: str | Path) -> "ColumnarTraceWorkload":
     """Memory-map a v2 trace into a replayable columnar workload.
 
     The columns stay on disk: each is a plain read-only ``np.ndarray``
     view of an ``np.memmap`` section (the view's base keeps the mapping
     alive, and slicing it runs none of ``np.memmap``'s Python hooks);
-    omitted columns come back as broadcast views.  *validate* runs the
-    O(n) scans (vpn within the working set, is_write ∈ {0, 1}, no
-    negative think time) — milliseconds per million accesses,
-    skippable for hot reopen paths.  Every violation raises
-    :class:`TraceFormatError`.
+    omitted columns come back as broadcast views.  The O(n) validation
+    scans (vpn within the working set, is_write ∈ {0, 1}, no negative
+    think time) cost milliseconds per million accesses; every
+    violation raises :class:`TraceFormatError`, and so does a v1 text
+    file, which must be imported with ``repro trace convert`` first.
     """
     import numpy as np
 
@@ -258,7 +267,7 @@ def open_trace_v2(
     vpn = arrays["vpn"]
     if "is_write" in arrays:
         raw = arrays["is_write"]
-        if validate and raw.max(initial=0) > 1:
+        if raw.max(initial=0) > 1:
             raise TraceFormatError(f"{path}: is_write column holds non-0/1 bytes")
         is_write = raw.view(np.bool_)
     else:
@@ -275,7 +284,6 @@ def open_trace_v2(
             wss_pages=header["wss_pages"],
             think_ns=header["think_ns"],
             name=header["name"],
-            validate=validate,
         )
     except ValueError as error:
         raise TraceFormatError(f"{path}: {error}") from None
@@ -287,10 +295,10 @@ def open_trace_v2(
 class ColumnarTraceWorkload(Workload):
     """A recorded trace replayed straight from columnar arrays.
 
-    The one replay class for both trace formats: :func:`open_trace_v2`
-    hands it memory-mapped columns, and
-    :func:`~repro.workloads.trace_io.load_trace` the columns parsed from
-    v1 text.  :meth:`columnar_blocks` slices
+    :func:`open_trace_v2` hands it memory-mapped columns; the v1 text
+    importer builds one from parsed columns to validate them before
+    writing v2.  *validate* is off only where a test needs an
+    out-of-range vpn to reach the engines.  :meth:`columnar_blocks` slices
     :class:`~repro.kernel.AccessBlock` views directly off the columns —
     zero copies beyond the views.
     """

@@ -13,7 +13,6 @@ from repro.workloads.patterns import (
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.segments import SegmentMixWorkload
-from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "Workload",
     "ZipfianWorkload",
     "burst_interleave",
-    "load_trace",
     "materialize_columns",
-    "save_trace",
     "weighted_choice",
 ]

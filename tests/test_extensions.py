@@ -1,4 +1,4 @@
-"""Tests for the extension modules: GHB, the Leap facade, trace I/O."""
+"""Tests for the extension modules: GHB, the Leap facade, v1 trace import."""
 
 import pytest
 
@@ -7,9 +7,11 @@ from repro.prefetchers.ghb import GHBPrefetcher
 from repro.sim.process import PageAccess
 from repro.sim.simulate import simulate
 from repro.workloads.patterns import StrideWorkload
-from repro.workloads.trace_io import TraceFormatError, load_trace, save_trace
+from repro.trace.convert import convert_trace
+from repro.trace.format import TraceFormatError
 
 from test_kernel import access_tuples
+from v1_text import import_v1, write_v1_trace
 
 PID = 1
 
@@ -122,9 +124,9 @@ class TestTraceIO:
             PageAccess(vpn=0, think_ns=500),
         ]
         path = tmp_path / "t.trace"
-        written = save_trace(path, trace, wss_pages=16, think_ns=500)
+        written = write_v1_trace(path, trace, wss_pages=16, think_ns=500)
         assert written == 3
-        workload = load_trace(path)
+        workload = import_v1(path)
         replayed = access_tuples(workload)
         # The round trip is exact: vpn, write flag, and think time all
         # survive (accesses matching the header default stay compact).
@@ -135,15 +137,15 @@ class TestTraceIO:
     def test_recorded_workload_from_generator(self, tmp_path):
         source = StrideWorkload(256, 500, stride=3, seed=8, think_ns=100)
         path = tmp_path / "stride.trace"
-        save_trace(path, access_tuples(source), wss_pages=256, think_ns=100)
-        replay = load_trace(path)
+        write_v1_trace(path, access_tuples(source), wss_pages=256, think_ns=100)
+        replay = import_v1(path)
         assert access_tuples(replay) == access_tuples(source)
 
     def test_replay_through_simulator(self, tmp_path):
         source = StrideWorkload(256, 800, stride=5, seed=8, think_ns=1_000)
         path = tmp_path / "replay.trace"
-        save_trace(path, access_tuples(source), wss_pages=256, think_ns=1_000)
-        workload = load_trace(path)
+        write_v1_trace(path, access_tuples(source), wss_pages=256, think_ns=1_000)
+        workload = import_v1(path)
         machine = Leap().build_machine(seed=8)
         result = simulate(machine, {1: workload}, memory_fraction=0.5)
         assert result.processes[1].accesses == 800
@@ -152,22 +154,22 @@ class TestTraceIO:
         path = tmp_path / "bad.trace"
         path.write_text("not a trace\n")
         with pytest.raises(TraceFormatError, match="not a repro trace"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "bad.rtrace")
 
     def test_bad_vpn_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\nbanana\n")
         with pytest.raises(TraceFormatError, match=r"bad\.trace:3: bad vpn 'banana'"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "bad.rtrace")
 
     def test_empty_trace_rejected(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n")
         with pytest.raises(TraceFormatError, match=r"empty\.trace: trace holds no accesses"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "empty.rtrace")
 
     def test_out_of_range_vpn_rejected(self, tmp_path):
         path = tmp_path / "oob.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n99\n")
         with pytest.raises(TraceFormatError, match=r"oob\.trace: .*outside wss 4"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "oob.rtrace")

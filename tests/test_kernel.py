@@ -57,9 +57,9 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.phased import PHASE_KINDS, PhasedWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
-from repro.workloads.trace_io import load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
 
+from v1_text import import_v1, write_v1_trace
 from workload_oracle import oracle_accesses
 
 
@@ -211,8 +211,8 @@ class TestColumnarBlocks:
     def test_recorded_workload_round_trip(self, tmp_path):
         accesses = [(v % 13, v % 3 == 0, 100 + v) for v in range(40)]
         path = tmp_path / "t.trace"
-        save_trace(path, accesses, wss_pages=13, think_ns=100)
-        workload = load_trace(path)
+        write_v1_trace(path, accesses, wss_pages=13, think_ns=100)
+        workload = import_v1(path)
         # Replay twice: the columns must not consume state.
         for _ in range(2):
             assert access_tuples(workload, 16) == accesses

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.prefetcher import LeapPrefetcher
-from repro.core.tracker import IsolatedLeapTracker
+from repro.core.sharded_tracker import ShardedLeapTracker
 
 PID = 1
 
@@ -109,18 +109,18 @@ class TestProcessIsolation:
             prefetcher.on_fault((PID + 1, 0), 0, False)
 
     def test_tracker_isolates_processes(self):
-        tracker = IsolatedLeapTracker()
+        tracker = ShardedLeapTracker()
         # Process 1 strides by 10; process 2 strides by 3, interleaved.
         for step in range(100):
             tracker.on_fault((1, step * 10), 0, False)
             tracker.on_fault((2, step * 3), 0, False)
-        one = tracker.prefetcher_for(1)
-        two = tracker.prefetcher_for(2)
+        one = tracker.active_shard(1)
+        two = tracker.active_shard(2)
         assert one.history.window(4) == [10, 10, 10, 10]
         assert two.history.window(4) == [3, 3, 3, 3]
 
     def test_tracker_candidates_scoped_to_faulting_pid(self):
-        tracker = IsolatedLeapTracker()
+        tracker = ShardedLeapTracker()
         for step in range(50):
             key = (7, step * 4)
             tracker.on_fault(key, 0, False)
@@ -133,7 +133,7 @@ class TestProcessIsolation:
         assert all(pid == 7 for pid, _ in candidates)
 
     def test_tracker_lazily_creates_per_pid_state(self):
-        tracker = IsolatedLeapTracker()
+        tracker = ShardedLeapTracker()
         assert tracker.tracked_pids == []
         tracker.on_fault((3, 1), 0, False)
         tracker.on_fault((9, 1), 0, False)

@@ -262,12 +262,11 @@ class TestRunner:
             sweep_scenarios([])
 
     def test_trace_tenant_replays_recording(self, tmp_path):
-        from repro.workloads.trace_io import save_trace
+        from repro.trace.capture import capture_workload
 
         inner = ZipfianWorkload(128, 600, seed=11)
-        path = tmp_path / "recorded.trace"
-        columns = (column.tolist() for column in materialize_columns(inner))
-        save_trace(path, zip(*columns), wss_pages=128, think_ns=inner.think_ns)
+        path = tmp_path / "recorded.rtrace"
+        capture_workload(inner, path)
         scenario = Scenario(
             name="replay",
             description="recorded traffic",

@@ -5,27 +5,29 @@ The contract under test, in order of importance:
 * **replay equivalence** — a v2 trace replayed through
   :class:`ColumnarTraceWorkload` (mmap'd columns sliced straight into
   ``AccessBlock`` views) produces *bit-identical* simulated results to
-  the v1 text it was converted from, loaded into the same class, on
-  every run path and both engines;
+  the same columns held in memory, on every run path and both engines;
 * **container round trips** — v2 write/open preserves every access;
-  v1 <-> v2 conversion is lossless both ways; trivial-column omission
-  is invisible to readers; truncated or padded files fail loudly;
+  the v1 text import is lossless and byte-stable; trivial-column
+  omission is invisible to readers; truncated or padded files fail
+  loudly;
 * **capture identity** — capturing any workload to v2 and replaying
   yields exactly the workload's own access stream (hypothesis-checked
   over random recorded traces too);
-* **v1 body errors** — every malformed v1 body raises
-  :class:`TraceFormatError` naming the file (and line);
+* **v1 is import-only** — every malformed v1 header or body raises
+  :class:`TraceFormatError` naming the file (and line) from the
+  importer, and every other reader refuses a v1 file outright;
 * **KV-cache generator** — the columnar blocks of
   :class:`KVCacheWorkload` equal its per-access oracle;
 * **analyzer** — ``analyze_columns`` is deterministic and its numbers
   match hand-computed values on crafted streams.
 
-The million-access ``>=10x`` replay A/B at the bottom is
-nightly-only: set ``REPRO_NIGHTLY=1`` (the nightly workflow does).
+The million-access engine A/B at the bottom is nightly-only: set
+``REPRO_NIGHTLY=1`` (the nightly workflow does).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -46,7 +48,6 @@ from repro.trace.analyze import analyze_columns, analyze_trace_file
 from repro.trace.capture import capture_scenario_tenant, capture_workload
 from repro.trace.convert import (
     convert_trace,
-    load_any_trace,
     read_trace_meta,
     sniff_trace,
     trace_tenant_scenario,
@@ -61,7 +62,6 @@ from repro.trace.format import (
 )
 from repro.workloads.kvcache import KVCacheWorkload
 from repro.workloads.patterns import ZipfianWorkload
-from repro.workloads.trace_io import load_trace, save_trace
 
 from test_kernel import (
     ENGINES,
@@ -71,6 +71,7 @@ from test_kernel import (
     run_both,
     summary_fingerprint,
 )
+from v1_text import import_v1, write_v1_trace
 from workload_oracle import oracle_accesses
 
 # ---------------------------------------------------------------------------
@@ -291,6 +292,10 @@ class TestV2Container:
 # ---------------------------------------------------------------------------
 
 
+#: sha256 of the v2 file imported in ``test_import_bytes_are_pinned``.
+IMPORT_DIGEST = "c065b33423279d43952914b47899e48566cfcb2dc75328def9343e5a8a335712"
+
+
 class TestCaptureAndConvert:
     def test_capture_equals_object_stream(self, tmp_path):
         workload = ZipfianWorkload(
@@ -316,97 +321,93 @@ class TestCaptureAndConvert:
         with pytest.raises(ValueError, match="tenant"):
             capture_scenario_tenant("web-tier-zipf", "nope", tmp_path / "x.rtrace")
 
-    def test_v1_to_v2_to_v1_lossless(self, tmp_path):
-        accesses = [
-            PageAccess(vpn=v % 13, is_write=v % 3 == 0, think_ns=100 + (v % 2) * 50)
-            for v in range(120)
-        ]
-        v1 = tmp_path / "t.trace"
-        save_trace(v1, accesses, wss_pages=13, think_ns=100, name="loop")
-        v2 = tmp_path / "t.rtrace"
-        info = convert_trace(v1, v2)
-        assert info["count"] == 120
-        assert sniff_trace(v2) == "v2"
-        assert access_tuples(open_trace_v2(v2)) == accesses
-        back = tmp_path / "back.trace"
-        convert_trace(v2, back)
-        assert sniff_trace(back) == "v1"
-        assert access_tuples(load_trace(back)) == accesses
-        assert back.read_text() == v1.read_text()
-
     def test_read_trace_meta_uniform(self, tmp_path):
         accesses = [PageAccess(vpn=v % 7, is_write=False, think_ns=0) for v in range(30)]
         v1 = tmp_path / "t.trace"
-        save_trace(v1, accesses, wss_pages=7)
+        write_v1_trace(v1, accesses, wss_pages=7)
         v2 = tmp_path / "t.rtrace"
         convert_trace(v1, v2)
-        m1, m2 = read_trace_meta(v1), read_trace_meta(v2)
-        assert (m1["count"], m1["wss_pages"]) == (30, 7)
-        assert (m2["count"], m2["wss_pages"]) == (30, 7)
-        assert m1["format"] == "repro-trace/1"
-        assert m2["format"] == "repro-trace/2"
-        assert m2["provenance"]["converted_from"]
+        meta = read_trace_meta(v2)
+        assert (meta["count"], meta["wss_pages"]) == (30, 7)
+        assert meta["format"] == "repro-trace/2"
+        assert meta["columns"] == [["vpn", "<i8"]]
+        assert meta["provenance"]["converted_from"] == "t.trace"
+        with pytest.raises(TraceFormatError, match="v1 text trace"):
+            read_trace_meta(v1)
 
-    def test_load_any_trace_dispatches(self, tmp_path):
-        accesses = [PageAccess(vpn=v % 5, is_write=False, think_ns=0) for v in range(20)]
-        v1 = tmp_path / "t.trace"
-        save_trace(v1, accesses, wss_pages=5)
-        v2 = tmp_path / "t.rtrace"
-        convert_trace(v1, v2)
-        assert isinstance(load_any_trace(v1), ColumnarTraceWorkload)
-        assert isinstance(load_any_trace(v2), ColumnarTraceWorkload)
-        with pytest.raises(ValueError, match="trace"):
-            load_any_trace(tmp_path / "missing.trace")
+    def test_import_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # Writes, explicit think flags (one equal to the default), a
+        # comment, a blank line, and no count field: the v2 bytes the
+        # importer writes for this file must not drift.
+        monkeypatch.setenv("REPRO_CODE_REV", "pinned")
+        v1 = tmp_path / "mixed.trace"
+        v1.write_text(
+            "# repro-trace v1\n# wss_pages=16 think_ns=250 name=mixed\n"
+            "3\n7,w\n# comment\n0,t2500\n\n9,w,t0\n15,t250,w\n"
+        )
+        v2 = tmp_path / "mixed.rtrace"
+        header = convert_trace(v1, v2)
+        assert header["count"] == 5
+        assert access_tuples(open_trace_v2(v2)) == [
+            (3, False, 250), (7, True, 250), (0, False, 2500), (9, True, 0), (15, True, 250)
+        ]
+        assert hashlib.sha256(v2.read_bytes()).hexdigest() == IMPORT_DIGEST
+
+
+V1_REFUSAL = "v1 text trace; import it with `repro trace convert`"
 
 
 class TestV1Hardening:
+    """The importer is the one reader of v1 text; it names the file
+    (and line) of every malformed header or body."""
+
     def _write(self, tmp_path, n=25):
         accesses = [PageAccess(vpn=v % 9, is_write=False, think_ns=0) for v in range(n)]
         path = tmp_path / "t.trace"
-        save_trace(path, accesses, wss_pages=9)
+        write_v1_trace(path, accesses, wss_pages=9)
         return path
 
     def test_header_carries_count(self, tmp_path):
         path = self._write(tmp_path)
         assert "count=25" in path.read_text().splitlines()[1]
-        assert load_trace(path).total_accesses == 25
+        assert import_v1(path).total_accesses == 25
 
     def test_truncated_rejected(self, tmp_path):
         path = self._write(tmp_path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-5]) + "\n")
         with pytest.raises(TraceFormatError, match="truncated"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "t.rtrace")
 
     def test_padded_rejected(self, tmp_path):
         path = self._write(tmp_path)
         with path.open("a") as handle:
             handle.write("3\n3\n")
         with pytest.raises(TraceFormatError, match="padded"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "t.rtrace")
 
     def test_external_trace_without_count_still_loads(self, tmp_path):
         # Files from external tools predate the count field; they keep
-        # loading (the check only fires when the header declares one).
+        # importing (the check only fires when the header declares one).
         path = tmp_path / "ext.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=ext\n0\n1\n2\n")
-        assert load_trace(path).total_accesses == 3
+        assert import_v1(path).total_accesses == 3
 
     def test_negative_think_time_rejected_before_replay(self, tmp_path):
         # The object engine would raise ClockError mid-run and the
-        # vectorized engine would finish silently; the loader must
+        # vectorized engine would finish silently; the importer must
         # refuse the file before either engine sees it.
         path = tmp_path / "neg.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=neg\n1\n2,t-5\n")
         with pytest.raises(TraceFormatError, match=r"neg\.trace:4: negative think time 't-5'"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "neg.rtrace")
+        assert not (tmp_path / "neg.rtrace").exists()
 
     def test_negative_default_think_time_rejected(self, tmp_path):
         path = tmp_path / "neg.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=-3 name=neg\n1\n")
         with pytest.raises(ValueError, match="negative default think_ns=-3"):
-            load_trace(path)
-
+            convert_trace(path, tmp_path / "neg.rtrace")
 
     @pytest.mark.parametrize(
         "fields, problem",
@@ -421,15 +422,20 @@ class TestV1Hardening:
             ("wss_pages=4 think_ns=x", "header default think_ns='x' is not an integer"),
         ],
     )
-    def test_bad_header_rejected_by_both_readers(self, tmp_path, fields, problem):
-        # The loader and the metadata reader share one header parser,
-        # so they agree on every field and name the file and the field.
+    def test_bad_header_rejected_by_both_readers(
+        self, tmp_path, capsys, fields, problem
+    ):
+        # The library importer and `repro trace convert` name the file
+        # and the field alike.
         path = tmp_path / "bad.trace"
         path.write_text(f"# repro-trace v1\n# {fields}\n1\n")
+        out = tmp_path / "bad.rtrace"
         expected = f"^{re.escape(str(path))}: {re.escape(problem)}"
-        for reader in (load_trace, read_trace_meta):
-            with pytest.raises(TraceFormatError, match=expected):
-                reader(path)
+        with pytest.raises(TraceFormatError, match=expected):
+            convert_trace(path, out)
+        assert main(["trace", "convert", str(path), str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {problem}")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "count, body, problem",
@@ -459,18 +465,27 @@ class TestV1Hardening:
         ],
     )
     def test_bad_body_raises_typed_error_naming_the_file(
-        self, tmp_path, count, body, problem
+        self, tmp_path, capsys, count, body, problem
     ):
         path = tmp_path / "bad.trace"
         path.write_text(f"# repro-trace v1\n# wss_pages=4 count={count}\n{body}")
+        out = tmp_path / "bad.rtrace"
         with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path) + problem)}"):
-            load_trace(path)
+            convert_trace(path, out)
+        assert main(["trace", "convert", str(path), str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}{problem}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "replay"])
     def test_cli_names_the_file_of_a_bad_body(self, tmp_path, capsys, command):
+        # A v2-only command names the file and points at the importer
+        # without reading the body; the importer then names the body's
+        # problem.
         path = tmp_path / "oob.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 count=1\n9\n")
         assert main(["trace", command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {V1_REFUSAL}\n"
+        assert main(["trace", "convert", str(path), str(tmp_path / "oob.rtrace")]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: trace access vpn span [9, 9] outside wss 4\n"
         )
@@ -479,28 +494,94 @@ class TestV1Hardening:
         path = tmp_path / "bad.trace"
         path.write_text("# repro-trace v1\n# think_ns=0 name=x\n1\n")
         assert main(["trace", "list", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {V1_REFUSAL}\n"
+        assert main(["trace", "convert", str(path), str(tmp_path / "bad.rtrace")]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "lacks wss_pages" in err
-        assert main(["trace", "analyze", str(path)]) == 2
-        assert "lacks wss_pages" in capsys.readouterr().err
+        assert err.startswith("error:") and "lacks wss_pages" in err
+
+
+def _door_cli(command):
+    return lambda path: main(["trace", command, str(path)])
+
+
+def _door_submit(path):
+    return main(["service", "submit", str(path), "--root", str(path.parent / "svc")])
+
+
+def _door_scenario_tenant(path):
+    from repro.scenarios import Scenario, TenantSpec
+    from repro.scenarios.spec import build_tenant_workloads
+
+    scenario = Scenario(
+        name="replay",
+        description="",
+        tenants=(
+            TenantSpec(name="t", workload="trace", wss_pages=4, params={"path": str(path)}),
+        ),
+    )
+    build_tenant_workloads(scenario, seed=1)
+
+
+@pytest.mark.parametrize(
+    "door, exit_code",
+    [
+        (_door_cli("replay"), 2),
+        (_door_cli("analyze"), 2),
+        (_door_cli("list"), 1),
+        (_door_submit, 2),
+        (open_trace_v2, None),
+        (read_trace_v2_header, None),
+        (read_trace_meta, None),
+        (analyze_trace_file, None),
+        (trace_tenant_scenario, None),
+        (_door_scenario_tenant, None),
+    ],
+    ids=[
+        "cli-replay",
+        "cli-analyze",
+        "cli-list",
+        "cli-submit",
+        "open_trace_v2",
+        "read_trace_v2_header",
+        "read_trace_meta",
+        "analyze_trace_file",
+        "trace_tenant_scenario",
+        "scenario-trace-tenant",
+    ],
+)
+def test_v2_only_door_refuses_v1(tmp_path, capsys, door, exit_code):
+    """Only ``repro trace convert`` reads v1: every other door raises
+    the typed error (the CLI prints it and exits with its usual code),
+    and ``service submit`` never hands the file to the JSON parser."""
+    path = tmp_path / "t.trace"
+    write_v1_trace(path, [(0, False, 0), (1, True, 50)], wss_pages=4)
+    if exit_code is None:
+        with pytest.raises(TraceFormatError) as caught:
+            door(path)
+        assert str(caught.value) == f"{path}: {V1_REFUSAL}"
+    else:
+        assert door(path) == exit_code
+        assert capsys.readouterr().err == f"error: {path}: {V1_REFUSAL}\n"
+    assert not (tmp_path / "svc").exists()
 
 
 # ---------------------------------------------------------------------------
-# Replay equivalence: a v1 load == its v2 conversion, byte-for-byte, on
-# every run path and both engines.
+# Replay equivalence: in-memory columns == their mmap'd v2 import,
+# byte-for-byte, on every run path and both engines.
 # ---------------------------------------------------------------------------
 
 
 def paired_traces(tmp_path, n=1500, wss=96, seed=21):
-    """The same trace as (v1 load, load of its v2 conversion)."""
+    """The same trace as (in-memory columns, mmap of its v1 import)."""
     workload = ZipfianWorkload(
         wss_pages=wss, total_accesses=n, seed=seed, skew=1.1, write_fraction=0.25
     )
+    accesses = list(oracle_accesses(workload))
     v1 = tmp_path / "pair.trace"
-    save_trace(v1, oracle_accesses(workload), wss_pages=wss, name="pair")
-    v2 = tmp_path / "pair.rtrace"
-    convert_trace(v1, v2)
-    recorded, columnar = load_trace(v1), open_trace_v2(v2)
+    write_v1_trace(v1, accesses, wss_pages=wss, name="pair")
+    columnar = import_v1(v1)
+    vpn, is_write, think = (np.array(column) for column in zip(*accesses))
+    recorded = ColumnarTraceWorkload(vpn, is_write, think, wss_pages=wss, name="pair")
     for left, right in zip(recorded.columns(), columnar.columns()):
         assert left.tolist() == right.tolist()
     return recorded, columnar
@@ -634,16 +715,36 @@ class TestOutOfRangeVpn:
         ),
         min_size=1,
         max_size=200,
-    )
+    ),
+    default_think=st.sampled_from([0, 100, 2000]),
+    with_count=st.booleans(),
 )
-def test_property_capture_replay_identity(tmp_path_factory, entries):
-    """Any recorded trace survives v1 save -> v2 capture -> mmap replay exactly."""
+def test_property_capture_replay_identity(
+    tmp_path_factory, entries, default_think, with_count
+):
+    """Any recorded trace survives v1 text -> v2 import -> mmap replay
+    exactly (writes, explicit ``t<ns>`` flags, the header's default
+    think time, with and without ``count``), and re-capturing the
+    replay writes the same columns."""
     folder = tmp_path_factory.mktemp("prop")
-    save_trace(folder / "t.trace", entries, wss_pages=31, think_ns=0)
-    capture_workload(load_trace(folder / "t.trace"), folder / "t.rtrace")
-    trace = open_trace_v2(folder / "t.rtrace")
+    write_v1_trace(
+        folder / "t.trace",
+        entries,
+        wss_pages=31,
+        think_ns=default_think,
+        count=with_count,
+    )
+    trace = import_v1(folder / "t.trace")
     assert access_tuples(trace) == entries
     assert access_tuples(trace, 7) == entries
+    expected = [np.array(column) for column in zip(*entries)]
+    for got, want in zip(trace.columns(), expected):
+        assert got.tolist() == want.tolist()
+    assert trace.think_ns == default_think
+    capture_workload(trace, folder / "again.rtrace")
+    again = open_trace_v2(folder / "again.rtrace")
+    for got, want in zip(again.columns(), expected):
+        assert got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -735,16 +836,22 @@ class TestAnalyze:
         assert blob["bench"] == "trace_analyze"
 
     def test_analyze_file_matches_either_format(self, tmp_path):
+        # The file analysis of an imported v1 trace equals the analysis
+        # of the columns its text spells out; the v1 file itself is
+        # refused.
         accesses = [
             PageAccess(vpn=(v * 3) % 40, is_write=v % 4 == 0, think_ns=100)
             for v in range(500)
         ]
         v1 = tmp_path / "t.trace"
-        save_trace(v1, accesses, wss_pages=40, think_ns=100, name="x")
+        write_v1_trace(v1, accesses, wss_pages=40, think_ns=100, name="x")
         v2 = tmp_path / "t.rtrace"
         convert_trace(v1, v2)
-        a1, a2 = analyze_trace_file(v1), analyze_trace_file(v2)
-        assert a1["apps"] == a2["apps"]
+        vpn, is_write, think = (np.array(column) for column in zip(*accesses))
+        direct = analyze_columns(vpn, is_write, think, wss_pages=40, name="x")
+        assert analyze_trace_file(v2)["apps"] == direct["apps"]
+        with pytest.raises(TraceFormatError, match="v1 text trace"):
+            analyze_trace_file(v1)
 
 
 # ---------------------------------------------------------------------------
@@ -786,26 +893,29 @@ class TestTraceCli:
         replay = json.loads(capsys.readouterr().out)
         assert replay["accesses"] == 2000
 
+        # There is no v2 -> v1 direction.
         out = tmp_path / "kv.trace"
-        main(["trace", "convert", str(path), str(out)])
-        capsys.readouterr()
-        assert sniff_trace(out) == "v1"
+        assert main(["trace", "convert", str(path), str(out)]) == 2
+        assert "convert imports v1 text only" in capsys.readouterr().err
+        assert not out.exists()
 
         main(["trace", "list", str(tmp_path), "--json"])
         listing = json.loads(capsys.readouterr().out)
-        assert {entry["format"] for entry in listing.values()} == {
-            "repro-trace/1",
-            "repro-trace/2",
-        }
+        assert list(listing) == [str(path)]
+        assert listing[str(path)]["format"] == "repro-trace/2"
 
     def test_list_names_a_bad_file_once(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("# repro-trace v1\n# think_ns=0 name=x\n1\n")
         assert main(["trace", "list", str(bad)]) == 1
-        assert capsys.readouterr().err == f"error: {bad}: header lacks wss_pages\n"
+        assert capsys.readouterr().err == f"error: {bad}: {V1_REFUSAL}\n"
         # An error whose message does not start with the path gets it once.
-        odd = tmp_path / "odd.trace"
-        odd.write_bytes(b"# repro-trace v1\n# wss_pages=4\n\xff\n")
+        odd = tmp_path / "odd.rtrace"
+        write_raw_trace(
+            odd,
+            {**VALID_HEADER, "columns": [["vpn", "<i8"], ["bogus", "<i8"]]},
+            np.arange(8),
+        )
         assert main(["trace", "list", str(odd)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {odd}: ") and err.count(str(odd)) == 1
@@ -863,19 +973,26 @@ class TestTraceCli:
 # ---------------------------------------------------------------------------
 
 
+#: Least object/vectorized wall-clock ratio the nightly replay pin accepts.
+NIGHTLY_MIN_RATIO = 2.2
+
+
 @pytest.mark.nightly
 @pytest.mark.skipif(
     not os.environ.get("REPRO_NIGHTLY"),
     reason="million-access replay A/B runs in the nightly workflow (REPRO_NIGHTLY=1)",
 )
 def test_nightly_million_access_replay_speedup(tmp_path):
-    """v2 mmap + vectorized replay is >=10x the v1 text path at 1M.
+    """Vectorized replay of a mmap'd 1M-access v2 trace is >= 2.2x the
+    object engine's replay of the same file.
 
-    Both paths replay the *same* million-access KV-cache trace with the
-    working set fully resident (the replay-throughput regime: the wall
-    clock measures trace delivery, not the shared fault pipeline, which
-    Amdahl-caps any engine's end-to-end gain when faults dominate).
-    Simulated metrics must match byte for byte.
+    Both engines replay the *same* million-access KV-cache trace with
+    the working set fully resident (the replay-throughput regime: the
+    wall clock measures trace delivery, not the shared fault pipeline,
+    which Amdahl-caps any engine's end-to-end gain when faults
+    dominate).  Simulated metrics must match byte for byte.  The bound
+    sits under 0.8x the smallest ratio seen in 20 runs on a shared
+    2-core host (2.8x; median 4.9x; CHANGES.md lists the runs).
     """
     from repro.perf.profile import TRACE_PROFILE_TIER
 
@@ -888,26 +1005,21 @@ def test_nightly_million_access_replay_speedup(tmp_path):
         append_pages=tier["append_pages"],
         lookups_per_append=tier["lookups_per_append"],
     )
-    v1 = tmp_path / "kv.trace"
-    save_trace(v1, access_tuples(workload), wss_pages=tier["wss_pages"], name="kv")
-    v2 = tmp_path / "kv.rtrace"
-    capture_workload(workload, v2, name="kv")
+    path = tmp_path / "kv.rtrace"
+    capture_workload(workload, path, name="kv")
 
-    started = time.perf_counter()
-    recorded = load_trace(v1)
-    machine = Machine(leap_config(seed=7, engine="object"))
-    object_result = simulate(machine, {1: recorded}, memory_fraction=1.0)
-    v1_wall = time.perf_counter() - started
+    walls, fingerprints = {}, {}
+    for engine in ("object", "vectorized"):
+        trace = open_trace_v2(path)
+        machine = Machine(leap_config(seed=7, engine=engine))
+        started = time.perf_counter()
+        result = simulate(machine, {1: trace}, memory_fraction=1.0)
+        walls[engine] = time.perf_counter() - started
+        fingerprints[engine] = summary_fingerprint(result)
 
-    started = time.perf_counter()
-    columnar = open_trace_v2(v2)
-    machine = Machine(leap_config(seed=7, engine="vectorized"))
-    vector_result = simulate(machine, {1: columnar}, memory_fraction=1.0)
-    v2_wall = time.perf_counter() - started
-
-    assert summary_fingerprint(object_result) == summary_fingerprint(vector_result)
-    ratio = v1_wall / v2_wall
-    assert ratio >= 10.0, (
-        f"columnar replay only {ratio:.1f}x faster "
-        f"(v1 text {v1_wall:.2f}s vs v2 mmap {v2_wall:.2f}s)"
+    assert fingerprints["object"] == fingerprints["vectorized"]
+    ratio = walls["object"] / walls["vectorized"]
+    assert ratio >= NIGHTLY_MIN_RATIO, (
+        f"vectorized replay only {ratio:.1f}x faster "
+        f"(object {walls['object']:.2f}s vs vectorized {walls['vectorized']:.2f}s)"
     )

@@ -5,7 +5,7 @@ import pytest
 from repro.datapath.lean_path import LeanLeapPath
 from repro.datapath.block_layer import LegacyBlockPath
 from repro.datapath.backends import DiskBackend
-from repro.core.tracker import IsolatedLeapTracker
+from repro.core.sharded_tracker import ShardedLeapTracker
 from repro.mem.page_cache import EagerFifoPolicy, LazyLRUPolicy, PageCache
 from repro.mem.reclaim import KswapdReclaimer
 from repro.mem.vmm import AccessKind, VirtualMemoryManager
@@ -104,7 +104,7 @@ class TestPrefetchIntegration:
         return outcomes
 
     def test_leap_turns_misses_into_cache_hits(self):
-        vmm = make_vmm(prefetcher=IsolatedLeapTracker(), limit=64, wss=256)
+        vmm = make_vmm(prefetcher=ShardedLeapTracker(), limit=64, wss=256)
         # Materialize and overflow once so pages have backing copies.
         now = 0
         for vpn in range(256):
@@ -124,7 +124,7 @@ class TestPrefetchIntegration:
         assert vmm.metrics.prefetch_hits > 0
 
     def test_prefetched_hit_faster_than_miss(self):
-        vmm = make_vmm(prefetcher=IsolatedLeapTracker(), limit=64, wss=256)
+        vmm = make_vmm(prefetcher=ShardedLeapTracker(), limit=64, wss=256)
         now = 0
         for vpn in range(256):
             now += 20_000
@@ -136,7 +136,7 @@ class TestPrefetchIntegration:
             assert sorted(hit_lat)[len(hit_lat) // 2] < min(miss_lat)
 
     def test_charge_invariant_through_prefetching(self):
-        vmm = make_vmm(prefetcher=IsolatedLeapTracker(), limit=32, wss=128)
+        vmm = make_vmm(prefetcher=ShardedLeapTracker(), limit=32, wss=128)
         now = 0
         position = 0
         for step in range(400):
@@ -150,7 +150,7 @@ class TestPrefetchIntegration:
             assert process.page_table.resident_count <= process.cgroup.limit_pages
 
     def test_lazy_policy_charge_invariant(self):
-        vmm = make_vmm(prefetcher=IsolatedLeapTracker(), eager=False, limit=32, wss=128)
+        vmm = make_vmm(prefetcher=ShardedLeapTracker(), eager=False, limit=32, wss=128)
         now = 0
         for step in range(300):
             now += 25_000
@@ -179,7 +179,7 @@ class TestEviction:
 
     def test_eviction_drops_stale_cache_entry(self):
         """A page evicted while (lazily) cached must not phantom-hit."""
-        vmm = make_vmm(prefetcher=IsolatedLeapTracker(), eager=False, limit=16, wss=64)
+        vmm = make_vmm(prefetcher=ShardedLeapTracker(), eager=False, limit=16, wss=64)
         now = 0
         for sweep in range(3):
             for vpn in range(64):

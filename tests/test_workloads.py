@@ -15,12 +15,14 @@ from repro.workloads.patterns import (
     ZipfianWorkload,
 )
 from repro.sim.process import PageAccess
+from repro.trace.convert import convert_trace
+from repro.trace.format import TraceFormatError
 from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.segments import SegmentMixWorkload
-from repro.workloads.trace_io import TraceFormatError, load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
 
 from test_kernel import access_tuples
+from v1_text import import_v1, write_v1_trace
 
 ALL_WORKLOADS = [
     lambda: SequentialWorkload(512, 2_000, seed=3),
@@ -184,7 +186,7 @@ class TestSegmentMixValidation:
 
 
 class TestTraceRoundTrip:
-    """save_trace/load_trace must reproduce a recording exactly —
+    """Importing a v1 text recording must reproduce it exactly —
     scenarios replay recorded traces, so nothing may be lost."""
 
     def make_accesses(self):
@@ -198,9 +200,9 @@ class TestTraceRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         path = tmp_path / "t.trace"
         accesses = self.make_accesses()
-        written = save_trace(path, accesses, wss_pages=16, think_ns=500, name="bug-42")
+        written = write_v1_trace(path, accesses, wss_pages=16, think_ns=500, name="bug-42")
         assert written == len(accesses)
-        loaded = load_trace(path)
+        loaded = import_v1(path)
         assert access_tuples(loaded) == accesses
         assert loaded.wss_pages == 16
         assert loaded.think_ns == 500
@@ -208,57 +210,48 @@ class TestTraceRoundTrip:
         assert loaded.total_accesses == len(accesses)
 
     def test_double_round_trip_is_stable(self, tmp_path):
-        first = tmp_path / "a.trace"
-        second = tmp_path / "b.trace"
-        save_trace(first, self.make_accesses(), wss_pages=16, think_ns=500, name="x")
-        loaded = load_trace(first)
-        save_trace(
-            second,
-            access_tuples(loaded),
-            wss_pages=loaded.wss_pages,
-            think_ns=loaded.think_ns,
-            name=loaded.name,
-        )
-        assert first.read_text() == second.read_text()
+        # Importing the same text twice writes the same v2 bytes.
+        source = tmp_path / "a.trace"
+        write_v1_trace(source, self.make_accesses(), wss_pages=16, think_ns=500, name="x")
+        first, second = tmp_path / "a.rtrace", tmp_path / "b.rtrace"
+        convert_trace(source, first)
+        convert_trace(source, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_workload_recording_round_trips(self, tmp_path):
         workload = ZipfianWorkload(128, 500, seed=9, write_fraction=0.3)
         path = tmp_path / "zipf.trace"
-        save_trace(
+        write_v1_trace(
             path, access_tuples(workload), wss_pages=128, think_ns=workload.think_ns
         )
-        loaded = load_trace(path)
+        loaded = import_v1(path)
         assert access_tuples(loaded) == access_tuples(workload)
 
     def test_numeric_looking_name_survives(self, tmp_path):
         """A digit-and-underscore name must stay a string — int()
         accepts underscore separators and would mangle it to 202607."""
         path = tmp_path / "t.trace"
-        save_trace(path, self.make_accesses(), wss_pages=16, think_ns=500, name="2026_07")
-        assert load_trace(path).name == "2026_07"
-
-    def test_rejects_multi_token_name(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_trace(tmp_path / "t", [], wss_pages=4, name="two words")
+        write_v1_trace(path, self.make_accesses(), wss_pages=16, think_ns=500, name="2026_07")
+        assert import_v1(path).name == "2026_07"
 
     def test_rejects_unknown_flag(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0 name=x\n1,q\n")
         with pytest.raises(TraceFormatError, match=r"t\.trace:3: unknown flag"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "t.rtrace")
 
     def test_rejects_bad_vpn_and_empty(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\nnope\n")
         with pytest.raises(TraceFormatError, match=r"t\.trace:3: bad vpn"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "t.rtrace")
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n")
         with pytest.raises(TraceFormatError, match=r"t\.trace: trace holds no accesses"):
-            load_trace(path)
+            convert_trace(path, tmp_path / "t.rtrace")
 
     def test_out_of_range_vpn_rejected(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=0\n1\n99\n")
         expected = f"^{re.escape(str(path))}: .*outside wss 4"
         with pytest.raises(TraceFormatError, match=expected):
-            load_trace(path)
+            convert_trace(path, tmp_path / "t.rtrace")
