@@ -31,7 +31,6 @@ Quickstart::
 
 from repro.core.access_history import AccessHistory
 from repro.core.prefetcher import LeapPrefetcher
-from repro.core.leap import Leap
 from repro.core.sharded_tracker import ShardedLeapTracker
 from repro.core.trend import find_trend
 from repro.cluster import FailureEvent, MemoryCluster, MemoryServer
@@ -68,7 +67,6 @@ __all__ = [
     "AccessOutcome",
     "ConcurrentScheduler",
     "FailureEvent",
-    "Leap",
     "LeapPrefetcher",
     "Machine",
     "MachineConfig",

@@ -150,20 +150,18 @@ def _build_spec(args: argparse.Namespace):
                 "--trace applies to scenario jobs only (a sweep's cells "
                 "run in pool workers; record one cell as a scenario job)"
             )
-        prefetchers = (
-            [p for p in args.prefetchers.split(",") if p]
-            if args.prefetchers
-            else ["leap", "readahead"]
-        )
+        grid = {}
+        if args.prefetchers:  # else SweepJob's default axis
+            grid["prefetchers"] = tuple(p for p in args.prefetchers.split(",") if p)
         return SweepJob(
             scenarios=tuple(scenarios),
             cores=tuple(args.cores),
             servers=tuple(args.servers if args.servers is not None else [2]),
-            prefetchers=tuple(prefetchers),
             seed=args.seed,
             wss_pages=args.wss_pages,
             total_accesses=args.accesses,
             pool=args.pool,
+            **grid,
         )
     if len(scenarios) != 1:
         raise ValueError("a scenario job takes exactly one scenario (or use --sweep)")

@@ -13,13 +13,14 @@ sub-spec out disables that half of the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+
+from repro.codec import Spec
 
 __all__ = ["BalancerSpec", "ControlSpec", "GovernorSpec"]
 
 
 @dataclass(frozen=True, slots=True)
-class GovernorSpec:
+class GovernorSpec(Spec):
     """Tuning for the adaptive prefetcher governor.
 
     ``policies`` is the candidate set in probe order (the scenario's
@@ -67,32 +68,9 @@ class GovernorSpec:
                 f"stale_epochs must be >= min_dwell_epochs, got {self.stale_epochs}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "policies": list(self.policies),
-            "min_dwell_epochs": self.min_dwell_epochs,
-            "score_margin": self.score_margin,
-            "probe_score": self.probe_score,
-            "ewma_alpha": self.ewma_alpha,
-            "min_faults": self.min_faults,
-            "stale_epochs": self.stale_epochs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GovernorSpec":
-        return cls(
-            policies=tuple(data.get("policies", ("leap", "readahead", "ghb"))),
-            min_dwell_epochs=int(data.get("min_dwell_epochs", 3)),
-            score_margin=float(data.get("score_margin", 0.1)),
-            probe_score=float(data.get("probe_score", 0.5)),
-            ewma_alpha=float(data.get("ewma_alpha", 0.5)),
-            min_faults=int(data.get("min_faults", 8)),
-            stale_epochs=int(data.get("stale_epochs", 12)),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class BalancerSpec:
+class BalancerSpec(Spec):
     """Tuning for the tenant memory balancer.
 
     Each epoch the balancer may transfer one step of local-memory
@@ -128,26 +106,9 @@ class BalancerSpec:
         if self.pressure_gap < 0:
             raise ValueError(f"pressure_gap must be >= 0, got {self.pressure_gap}")
 
-    def to_dict(self) -> dict:
-        return {
-            "step_fraction": self.step_fraction,
-            "floor_fraction": self.floor_fraction,
-            "ceiling_fraction": self.ceiling_fraction,
-            "pressure_gap": self.pressure_gap,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BalancerSpec":
-        return cls(
-            step_fraction=float(data.get("step_fraction", 0.1)),
-            floor_fraction=float(data.get("floor_fraction", 0.2)),
-            ceiling_fraction=float(data.get("ceiling_fraction", 0.9)),
-            pressure_gap=float(data.get("pressure_gap", 0.5)),
-        )
-
 
 @dataclass(frozen=True, slots=True)
-class ControlSpec:
+class ControlSpec(Spec):
     """The control-plane half of a scenario declaration."""
 
     epoch_ms: float = 1.0
@@ -162,21 +123,3 @@ class ControlSpec:
                 "ControlSpec needs a governor, a balancer, or both "
                 "(an empty control plane would only add overhead)"
             )
-
-    def to_dict(self) -> dict:
-        data: dict = {"epoch_ms": self.epoch_ms}
-        if self.governor is not None:
-            data["governor"] = self.governor.to_dict()
-        if self.balancer is not None:
-            data["balancer"] = self.balancer.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ControlSpec":
-        governor = data.get("governor")
-        balancer = data.get("balancer")
-        return cls(
-            epoch_ms=float(data.get("epoch_ms", 1.0)),
-            governor=None if governor is None else GovernorSpec.from_dict(governor),
-            balancer=None if balancer is None else BalancerSpec.from_dict(balancer),
-        )

@@ -176,6 +176,9 @@ class EvictionPolicy(abc.ABC):
     name: str
     #: Whether consuming an entry frees it immediately.
     free_on_consume: bool
+    #: Whether :meth:`scan` can free anything; without it, kswapd
+    #: catches up idle scan periods in one step.
+    background_scan: bool
 
     @abc.abstractmethod
     def pick_victim(self, cache: PageCache, now: int) -> PageKey | None:
@@ -191,6 +194,7 @@ class LazyLRUPolicy(EvictionPolicy):
 
     name = "lazy-lru"
     free_on_consume = False
+    background_scan = True
 
     def pick_victim(self, cache: PageCache, now: int) -> PageKey | None:
         for key in cache.lru.iter_eviction_order():
@@ -215,6 +219,7 @@ class EagerFifoPolicy(EvictionPolicy):
 
     name = "eager-fifo"
     free_on_consume = True
+    background_scan = False
 
     def pick_victim(self, cache: PageCache, now: int) -> PageKey | None:
         # Entries dict preserves insertion order; with eager freeing,

@@ -72,16 +72,25 @@ class KswapdReclaimer:
         return self._last_scan + self.scan_period_ns
 
     def maybe_scan(self, now: int) -> list[CacheEntry]:
-        """Run the periodic scan if its period has elapsed."""
+        """Run one scan per scan period elapsed since the last one.
+
+        Once no scan can free anything — the policy never frees in the
+        background, or the cache is empty — the remaining periods are
+        counted in one step instead of scanned one at a time.
+        """
         freed: list[CacheEntry] = []
-        while now - self._last_scan >= self.scan_period_ns:
-            self._last_scan += self.scan_period_ns
+        period = self.scan_period_ns
+        while now - self._last_scan >= period:
+            if not (self.cache.entries and self.cache.policy.background_scan):
+                idle = (now - self._last_scan) // period
+                self._last_scan += idle * period
+                self.scans += idle
+                break
+            self._last_scan += period
             batch = self.cache.scan(self._last_scan, self.scan_batch)
             freed.extend(batch)
             self.scans += 1
             self.freed += len(batch)
-            if not batch and self._last_scan + self.scan_period_ns > now:
-                break
         return freed
 
     def allocation_wait_ns(self, now: int) -> int:

@@ -9,18 +9,19 @@ phases, a local-memory limit schedule, and (for cluster runs) a
 failure timeline — so realistic traffic can be named, versioned,
 swept, and replayed instead of hand-assembled per experiment.
 
-Everything serializes to/from plain dicts (JSON-shaped), so scenarios
-can live in files, CI configs, and bug reports.
+Everything serializes to/from plain dicts (JSON-shaped, strictly), so
+scenarios can live in files, CI configs, and bug reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
+from repro.codec import Spec
 from repro.control.spec import BalancerSpec, ControlSpec, GovernorSpec
 from repro.kernel.columnar import AccessBlock
 from repro.sim.rng import SimRandom, derive_seed
@@ -70,7 +71,7 @@ WORKLOAD_KINDS = {
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Spec):
     """An open-loop arrival schedule with burst phases.
 
     Inter-access gaps are generated independently of service times
@@ -113,28 +114,9 @@ class ArrivalSpec:
                 else:
                     yield from repeat(mean, count)
 
-    def to_dict(self) -> dict:
-        return {
-            "think_ns": self.think_ns,
-            "burst_think_ns": self.burst_think_ns,
-            "burst_accesses": list(self.burst_accesses),
-            "calm_accesses": list(self.calm_accesses),
-            "jitter": self.jitter,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ArrivalSpec":
-        return cls(
-            think_ns=int(data.get("think_ns", 1_000)),
-            burst_think_ns=int(data.get("burst_think_ns", 100)),
-            burst_accesses=tuple(data.get("burst_accesses", (64, 256))),
-            calm_accesses=tuple(data.get("calm_accesses", (512, 2_048))),
-            jitter=bool(data.get("jitter", True)),
-        )
-
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Spec):
     """One tenant: a workload, its footprint, and its traffic shape.
 
     ``accesses=None`` means the tenant receives a share of the
@@ -168,39 +150,9 @@ class TenantSpec:
                 f"tenant {self.name!r}: write_fraction must be in [0, 1]"
             )
 
-    def to_dict(self) -> dict:
-        data: dict = {
-            "name": self.name,
-            "workload": self.workload,
-            "wss_pages": self.wss_pages,
-            "weight": self.weight,
-            "write_fraction": self.write_fraction,
-        }
-        if self.accesses is not None:
-            data["accesses"] = self.accesses
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.arrival is not None:
-            data["arrival"] = self.arrival.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TenantSpec":
-        arrival = data.get("arrival")
-        return cls(
-            name=str(data["name"]),
-            workload=str(data["workload"]),
-            wss_pages=int(data["wss_pages"]),
-            accesses=None if data.get("accesses") is None else int(data["accesses"]),
-            weight=float(data.get("weight", 1.0)),
-            params=dict(data.get("params", {})),
-            arrival=None if arrival is None else ArrivalSpec.from_dict(arrival),
-            write_fraction=float(data.get("write_fraction", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class MemoryPhase:
+class MemoryPhase(Spec):
     """One step of the local-memory limit schedule.
 
     At ``at_ms`` of measured simulated time, every tenant's cgroup
@@ -220,19 +172,9 @@ class MemoryPhase:
                 f"memory_fraction must be in (0, 1], got {self.memory_fraction}"
             )
 
-    def to_dict(self) -> dict:
-        return {"at_ms": self.at_ms, "memory_fraction": self.memory_fraction}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MemoryPhase":
-        return cls(
-            at_ms=float(data["at_ms"]),
-            memory_fraction=float(data["memory_fraction"]),
-        )
-
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Spec):
     """One memory-server liveness transition in the scenario timeline."""
 
     at_ms: float
@@ -245,20 +187,9 @@ class FailureSpec:
         if self.action not in ("fail", "recover"):
             raise ValueError(f"unknown failure action {self.action!r}")
 
-    def to_dict(self) -> dict:
-        return {"at_ms": self.at_ms, "server_id": self.server_id, "action": self.action}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FailureSpec":
-        return cls(
-            at_ms=float(data["at_ms"]),
-            server_id=int(data["server_id"]),
-            action=str(data.get("action", "fail")),
-        )
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """A named, declarative multi-tenant traffic mix."""
 
     name: str
@@ -331,55 +262,6 @@ class Scenario:
                     1, int(self.total_accesses * shares[tenant.name] / pool)
                 )
         return counts
-
-    def to_dict(self) -> dict:
-        data: dict = {
-            "name": self.name,
-            "description": self.description,
-            "tenants": [tenant.to_dict() for tenant in self.tenants],
-            "total_accesses": self.total_accesses,
-            "memory_fraction": self.memory_fraction,
-            "allow_migration": self.allow_migration,
-        }
-        if self.memory_schedule:
-            data["memory_schedule"] = [p.to_dict() for p in self.memory_schedule]
-        if self.popularity_skew is not None:
-            data["popularity_skew"] = self.popularity_skew
-        if self.prefetcher is not None:
-            data["prefetcher"] = self.prefetcher
-        if self.failures:
-            data["failures"] = [f.to_dict() for f in self.failures]
-        if self.control is not None:
-            data["control"] = self.control.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Scenario":
-        return cls(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            tenants=tuple(TenantSpec.from_dict(t) for t in data["tenants"]),
-            total_accesses=int(data.get("total_accesses", 24_000)),
-            memory_fraction=float(data.get("memory_fraction", 0.5)),
-            memory_schedule=tuple(
-                MemoryPhase.from_dict(p) for p in data.get("memory_schedule", ())
-            ),
-            popularity_skew=(
-                None
-                if data.get("popularity_skew") is None
-                else float(data["popularity_skew"])
-            ),
-            prefetcher=data.get("prefetcher"),
-            failures=tuple(
-                FailureSpec.from_dict(f) for f in data.get("failures", ())
-            ),
-            allow_migration=bool(data.get("allow_migration", True)),
-            control=(
-                None
-                if data.get("control") is None
-                else ControlSpec.from_dict(data["control"])
-            ),
-        )
 
 
 class OpenLoopWorkload(Workload):

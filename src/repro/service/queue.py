@@ -8,6 +8,9 @@ exactly one wins each claim, with no lock files.  Crash recovery is not
 implemented yet: a job whose worker died stays in ``running/`` until it
 is moved back to ``pending/`` by hand.
 
+A record with an unknown, missing or mistyped field fails loudly on
+every read with a :class:`~repro.codec.SpecError` naming file and field.
+
 Per-cell progress streams through ``progress/<job_id>.json``, written
 by the executing worker and polled by ``repro service status``.
 """
@@ -18,8 +21,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
+from repro.codec import Spec, SpecError
 from repro.service.clock import job_id, wall_time
 
 __all__ = ["JobQueue", "JobRecord"]
@@ -33,7 +36,7 @@ def new_job_id() -> str:
 
 
 @dataclass
-class JobRecord:
+class JobRecord(Spec):
     """One submission's durable state (everything but the payload)."""
 
     id: str
@@ -50,15 +53,17 @@ class JobRecord:
     error: str | None = None
     worker_pid: int | None = None
     #: Distinct pool-worker pids that executed cells (sweep jobs).
-    cell_pids: list = field(default_factory=list)
+    cell_pids: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
+    omit_empty = False
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "JobRecord":
-        known = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
-        return cls(**known)
+
+def _read_record(path: Path) -> JobRecord:
+    """Decode one queue file; a bad record's error names the file."""
+    try:
+        return JobRecord.from_dict(json.loads(path.read_text()))
+    except SpecError as error:
+        raise SpecError(str(path), str(error)) from None
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -109,7 +114,7 @@ class JobQueue:
                 os.rename(path, target)
             except FileNotFoundError:
                 continue  # another worker won this one
-            record = JobRecord.from_dict(json.loads(target.read_text()))
+            record = _read_record(target)
             record.state = "running"
             record.started_at = wall_time()
             record.worker_pid = os.getpid()
@@ -140,17 +145,13 @@ class JobQueue:
         for state in STATES:
             path = self._job_path(state, job_id)
             if path.exists():
-                return JobRecord.from_dict(json.loads(path.read_text()))
+                return _read_record(path)
         raise KeyError(f"no such job: {job_id}")
 
     def jobs(self, state: str) -> list[JobRecord]:
         if state not in STATES:
             raise ValueError(f"unknown job state {state!r}")
-        records = [
-            JobRecord.from_dict(json.loads(path.read_text()))
-            for path in sorted((self.root / state).glob("*.json"))
-        ]
-        return records
+        return [_read_record(path) for path in sorted((self.root / state).glob("*.json"))]
 
     def pending_count(self) -> int:
         return sum(1 for _ in (self.root / "pending").glob("*.json"))

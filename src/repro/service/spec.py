@@ -10,25 +10,33 @@ spec that serializes identically *is* the same run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
+from repro.codec import Spec, SpecError
 from repro.provenance import run_key, spec_hash
 from repro.scenarios.spec import Scenario
 
 __all__ = ["ScenarioJob", "SweepJob", "job_from_dict"]
 
 
-def _scenario_field(scenario: str | dict | Scenario) -> str | dict:
-    """Normalize a scenario reference for serialization."""
-    if isinstance(scenario, Scenario):
-        return scenario.to_dict()
-    if isinstance(scenario, (str, dict)):
-        return scenario
-    raise TypeError(f"scenario must be a name, dict, or Scenario, got {scenario!r}")
+class _Job(Spec):
+    """Both job kinds: every field is written; ``unhashed`` is not hashed."""
+
+    __slots__ = ()
+    omit_empty = False
+    unhashed: ClassVar[str]
+
+    def spec_hash(self) -> str:
+        data = self.to_dict()
+        del data[self.unhashed]
+        return spec_hash(data)
+
+    def run_key(self, code_rev: str) -> str:
+        return run_key(self.spec_hash(), self.seed, code_rev)
 
 
 @dataclass(frozen=True)
-class ScenarioJob:
+class ScenarioJob(_Job):
     """Run one scenario once on one configuration."""
 
     scenario: str | dict
@@ -46,83 +54,41 @@ class ScenarioJob:
     trace: bool = False
 
     kind = "scenario"
+    unhashed = "trace"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scenario", _scenario_field(self.scenario))
+        if isinstance(self.scenario, Scenario):
+            object.__setattr__(self, "scenario", self.scenario.to_dict())
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
         if self.servers < 0:
             raise ValueError(f"servers must be >= 0, got {self.servers}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "cores": self.cores,
-            "servers": self.servers,
-            "prefetcher": self.prefetcher,
-            "wss_pages": self.wss_pages,
-            "total_accesses": self.total_accesses,
-            "trace": self.trace,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioJob":
-        return cls(
-            scenario=data["scenario"],
-            seed=int(data.get("seed", 42)),
-            cores=int(data.get("cores", 4)),
-            servers=int(data.get("servers", 0)),
-            prefetcher=data.get("prefetcher"),
-            wss_pages=(
-                None if data.get("wss_pages") is None else int(data["wss_pages"])
-            ),
-            total_accesses=(
-                None
-                if data.get("total_accesses") is None
-                else int(data["total_accesses"])
-            ),
-            trace=bool(data.get("trace", False)),
-        )
-
-    def spec_hash(self) -> str:
-        # Tracing shapes what is *stored*, never the simulated numbers
-        # (tests pin byte-identity) — hashing it would split the cache.
-        data = self.to_dict()
-        del data["trace"]
-        return spec_hash(data)
-
-    def run_key(self, code_rev: str) -> str:
-        return run_key(self.spec_hash(), self.seed, code_rev)
-
 
 @dataclass(frozen=True)
-class SweepJob:
+class SweepJob(_Job):
     """Run scenarios across a {cores × servers × prefetchers} grid."""
 
-    scenarios: tuple = ()
-    cores: tuple = (2, 4)
-    servers: tuple = (2, 4)
-    prefetchers: tuple = ("leap", "readahead")
+    scenarios: tuple[str | dict, ...] = ()
+    cores: tuple[int, ...] = (2, 4)
+    servers: tuple[int, ...] = (2, 4)
+    prefetchers: tuple[str, ...] = ("leap", "readahead")
     seed: int = 42
     wss_pages: int | None = None
     total_accesses: int | None = None
     max_total_accesses: int | None = None
     #: Worker processes the pool fans cells across (capped at the cell
     #: count); part of the spec only in the sense of being recorded —
-    #: it is excluded from the hash because it cannot change results.
+    #: it is excluded from the hash because it cannot change results, so
+    #: a `--pool 4` rerun hits the cache a `--pool 2` run filled.
     pool: int = 2
 
     kind = "sweep"
+    unhashed = "pool"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "scenarios", tuple(_scenario_field(s) for s in self.scenarios)
-        )
-        object.__setattr__(self, "cores", tuple(int(n) for n in self.cores))
-        object.__setattr__(self, "servers", tuple(int(n) for n in self.servers))
-        object.__setattr__(self, "prefetchers", tuple(self.prefetchers))
+        scenarios = (s.to_dict() if isinstance(s, Scenario) else s for s in self.scenarios)
+        object.__setattr__(self, "scenarios", tuple(scenarios))
         if not self.scenarios:
             raise ValueError("a sweep needs at least one scenario")
         if not self.cores or not self.servers or not self.prefetchers:
@@ -130,60 +96,10 @@ class SweepJob:
         if self.pool < 1:
             raise ValueError(f"pool must be >= 1, got {self.pool}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "scenarios": list(self.scenarios),
-            "cores": list(self.cores),
-            "servers": list(self.servers),
-            "prefetchers": list(self.prefetchers),
-            "seed": self.seed,
-            "wss_pages": self.wss_pages,
-            "total_accesses": self.total_accesses,
-            "max_total_accesses": self.max_total_accesses,
-            "pool": self.pool,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepJob":
-        return cls(
-            scenarios=tuple(data["scenarios"]),
-            cores=tuple(data.get("cores", (2, 4))),
-            servers=tuple(data.get("servers", (2, 4))),
-            prefetchers=tuple(data.get("prefetchers", ("leap", "readahead"))),
-            seed=int(data.get("seed", 42)),
-            wss_pages=(
-                None if data.get("wss_pages") is None else int(data["wss_pages"])
-            ),
-            total_accesses=(
-                None
-                if data.get("total_accesses") is None
-                else int(data["total_accesses"])
-            ),
-            max_total_accesses=(
-                None
-                if data.get("max_total_accesses") is None
-                else int(data["max_total_accesses"])
-            ),
-            pool=int(data.get("pool", 2)),
-        )
-
-    def spec_hash(self) -> str:
-        # The pool size shapes wall clock, never results — hashing it
-        # would make `--pool 4` miss the cache a `--pool 2` run filled.
-        data = self.to_dict()
-        del data["pool"]
-        return spec_hash(data)
-
-    def run_key(self, code_rev: str) -> str:
-        return run_key(self.spec_hash(), self.seed, code_rev)
-
 
 def job_from_dict(data: Mapping) -> ScenarioJob | SweepJob:
-    """Rebuild a job spec from its dict form (inverse of ``to_dict``)."""
-    kind = data.get("kind")
-    if kind == ScenarioJob.kind:
-        return ScenarioJob.from_dict(data)
-    if kind == SweepJob.kind:
-        return SweepJob.from_dict(data)
-    raise ValueError(f"unknown job kind {kind!r}")
+    """Rebuild a job spec from its dict form, dispatching on ``kind``."""
+    for job in (ScenarioJob, SweepJob):
+        if data.get("kind") == job.kind:
+            return job.from_dict(data)
+    raise SpecError("kind", f"unknown job kind {data.get('kind')!r}")

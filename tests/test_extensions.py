@@ -1,9 +1,9 @@
-"""Tests for the extension modules: GHB, the Leap facade, v1 trace import."""
+"""Tests for the extension modules: GHB, the full Leap stack, v1 trace import."""
 
 import pytest
 
-from repro.core.leap import Leap
 from repro.prefetchers.ghb import GHBPrefetcher
+from repro.sim.machine import Machine, leap_config
 from repro.sim.process import PageAccess
 from repro.sim.simulate import simulate
 from repro.workloads.patterns import StrideWorkload
@@ -80,37 +80,10 @@ class TestGHB:
 
 
 class TestLeapFacade:
-    def test_default_is_full_stack(self):
-        machine = Leap().build_machine(seed=5)
-        assert machine.data_path.name == "leap-lean"
-        assert machine.prefetcher.name == "leap"
-        assert machine.cache.policy.name == "eager-fifo"
-
-    def test_component_switches(self):
-        config = Leap(prefetching=False, eager_eviction=False).to_config()
-        assert config.prefetcher == "none"
-        assert config.eviction == "lazy"
-        assert config.data_path == "lean"
-
-    def test_prefetcher_only_variant(self):
-        config = Leap.prefetcher_only().to_config()
-        assert config.prefetcher == "leap"
-        assert config.data_path == "legacy"
-        assert config.eviction == "lazy"
-
-    def test_tunables_propagate(self):
-        config = Leap(history_size=64, n_split=4, max_prefetch_window=16).to_config()
-        assert config.history_size == 64
-        assert config.n_split == 4
-        assert config.max_prefetch_window == 16
-
-    def test_overrides_pass_through(self):
-        config = Leap().to_config(seed=9, medium="ssd")
-        assert config.seed == 9
-        assert config.medium == "ssd"
+    """The full Leap stack, as ``leap_config`` assembles it."""
 
     def test_facade_machine_runs(self):
-        machine = Leap().build_machine(seed=5)
+        machine = Machine(leap_config(seed=5))
         workload = StrideWorkload(512, 2_000, stride=7, seed=5)
         result = simulate(machine, {1: workload}, memory_fraction=0.5)
         assert result.metrics.coverage > 0.5
@@ -146,7 +119,7 @@ class TestTraceIO:
         path = tmp_path / "replay.trace"
         write_v1_trace(path, access_tuples(source), wss_pages=256, think_ns=1_000)
         workload = import_v1(path)
-        machine = Leap().build_machine(seed=8)
+        machine = Machine(leap_config(seed=8))
         result = simulate(machine, {1: workload}, memory_fraction=0.5)
         assert result.processes[1].accesses == 800
 

@@ -1,9 +1,11 @@
 """Tests for storage media models and the kswapd reclaimer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.page import Page, PageFlags
-from repro.mem.page_cache import LazyLRUPolicy, PageCache
+from repro.mem.page_cache import EagerFifoPolicy, LazyLRUPolicy, PageCache
 from repro.mem.reclaim import AllocationWaitModel, KswapdReclaimer
 from repro.sim.rng import SimRandom
 from repro.sim.units import ms, us
@@ -134,3 +136,75 @@ class TestKswapd:
             KswapdReclaimer(cache, scan_period_ns=0)
         with pytest.raises(ValueError):
             KswapdReclaimer(cache, scan_batch=0)
+
+
+def loop_maybe_scan(reclaimer: KswapdReclaimer, now: int) -> list:
+    """Oracle: the scan-every-period loop ``maybe_scan`` used to run.
+
+    The production method counts idle periods in one step; this scans
+    each of them, so the two must agree on ``scans``, ``freed``, the
+    scan clock and the returned entries.
+    """
+    freed = []
+    while now - reclaimer._last_scan >= reclaimer.scan_period_ns:
+        reclaimer._last_scan += reclaimer.scan_period_ns
+        batch = reclaimer.cache.scan(reclaimer._last_scan, reclaimer.scan_batch)
+        freed.extend(batch)
+        reclaimer.scans += 1
+        reclaimer.freed += len(batch)
+        if not batch and reclaimer._last_scan + reclaimer.scan_period_ns > now:
+            break
+    return freed
+
+
+_RECLAIM_STEPS = st.lists(
+    st.one_of(
+        # Insert a page that lands `delay` ns from now (in flight until then).
+        st.tuples(st.just("insert"), st.integers(0, 63), st.integers(0, 3_000)),
+        st.tuples(st.just("consume"), st.integers(0, 63), st.just(0)),
+        # Advance the clock by `gap` ns, then let kswapd catch up.
+        st.tuples(st.just("scan"), st.just(0), st.integers(0, 40_000)),
+    ),
+    max_size=60,
+)
+
+
+class TestKswapdCatchUp:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        lazy=st.booleans(),
+        period=st.integers(1, 1_000),
+        batch=st.integers(1, 8),
+        steps=_RECLAIM_STEPS,
+    )
+    def test_matches_the_per_period_loop(self, lazy, period, batch, steps):
+        """Both policies, any clock: identical to scanning every period."""
+        runs = []
+        for scan in (KswapdReclaimer.maybe_scan, loop_maybe_scan):
+            policy = LazyLRUPolicy() if lazy else EagerFifoPolicy()
+            cache = PageCache(policy)
+            reclaimer = KswapdReclaimer(cache, scan_period_ns=period, scan_batch=batch)
+            now, trail = 0, []
+            for op, vpn, amount in steps:
+                key = (1, vpn)
+                if op == "insert" and key not in cache:
+                    page = cached_page(vpn)
+                    page.arrival_time = now + amount
+                    cache.insert(page, now=now, prefetched=True)
+                elif op == "consume" and key in cache:
+                    cache.consume(key, now=now)
+                elif op == "scan":
+                    now += amount
+                    freed = scan(reclaimer, now)
+                    trail.append([entry.page.key for entry in freed])
+                    trail.append((reclaimer.scans, reclaimer.freed, reclaimer._last_scan))
+            trail.append(list(cache.entries))
+            runs.append(trail)
+        assert runs[0] == runs[1]
+
+    def test_idle_gap_is_counted_without_scanning(self):
+        cache = PageCache(EagerFifoPolicy())
+        reclaimer = KswapdReclaimer(cache, scan_period_ns=ms(50))
+        assert reclaimer.maybe_scan(10**15) == []
+        assert reclaimer.scans == 10**15 // ms(50)
+        assert reclaimer.next_scan_due_ns == 10**15 + ms(50)
